@@ -15,6 +15,7 @@
 #include <cstring>
 #include <stdexcept>
 #include <string>
+#include <utility>
 #include <vector>
 
 namespace wankeeper {
@@ -33,6 +34,11 @@ inline std::uint32_t load_le32(const std::uint8_t* p) {
 
 class BufferWriter {
  public:
+  BufferWriter() = default;
+  // Appends after `into`'s existing bytes; take() hands them all back.
+  explicit BufferWriter(std::vector<std::uint8_t> into)
+      : bytes_(std::move(into)) {}
+
   // Pre-size for a known payload; saves the doubling reallocs on the
   // per-commit encode path.
   void reserve(std::size_t n) { bytes_.reserve(n); }
@@ -59,6 +65,9 @@ class BufferWriter {
   void str(const std::string& s) {
     u32(static_cast<std::uint32_t>(s.size()));
     bytes_.insert(bytes_.end(), s.begin(), s.end());
+  }
+  void raw(const std::uint8_t* p, std::size_t n) {
+    bytes_.insert(bytes_.end(), p, p + n);
   }
   void blob(const std::vector<std::uint8_t>& b) {
     u32(static_cast<std::uint32_t>(b.size()));

@@ -104,9 +104,11 @@ void HostedCluster::start() {
 }
 
 wk::Broker* HostedCluster::site_leader(SiteId s) {
-  auto& nodes = nodes_by_site_[static_cast<std::size_t>(s)];
-  for (auto& node : nodes) {
-    if (node.peer->leading()) return node.broker.get();
+  for (auto& node : nodes_by_site_[static_cast<std::size_t>(s)]) {
+    const zab::Peer* peer = node.peer.get();
+    bool leading = false;
+    rt_.call(node.broker->id(), [peer, &leading] { leading = peer->leading(); });
+    if (leading) return node.broker.get();
   }
   return nullptr;
 }
@@ -158,9 +160,13 @@ bool HostedCluster::converged_locally() {
   for (const SiteId s : local_sites_) {
     for (auto& node : nodes_by_site_[static_cast<std::size_t>(s)]) {
       wk::Broker* b = node.broker.get();
-      if (!b->up()) continue;
+      bool up = false;
       std::uint64_t d = 0;
-      rt_.call(b->id(), [b, &d] { d = b->tree().digest(); });
+      rt_.call(b->id(), [b, &up, &d] {
+        up = b->up();
+        if (up) d = b->tree().digest();
+      });
+      if (!up) continue;
       if (first) {
         digest = d;
         first = false;

@@ -95,9 +95,8 @@ class HostedCluster {
   zk::Client& client(std::size_t idx) { return *clients_[idx].client; }
   SiteId client_site(std::size_t idx) const { return clients_[idx].site; }
 
-  // Current leader broker of a local site (nullptr mid-election). Reads
-  // leadership flags without posting to the owning loop: single-word reads
-  // used for polling, not for protocol decisions.
+  // Current leader broker of a local site (nullptr mid-election). Each
+  // replica's leadership is sampled on its own loop through call().
   wk::Broker* site_leader(SiteId s);
   wk::Broker& broker(SiteId s, std::size_t i);
 

@@ -39,8 +39,7 @@ WireType get_tag(BufferReader& r) {
 void put_entry(BufferWriter& w, const zab::LogEntry& e) {
   w.u64(e.zxid);
   w.u32(static_cast<std::uint32_t>(e.payload.size()));
-  const std::uint8_t* p = e.payload.data();
-  for (std::size_t i = 0; i < e.payload.size(); ++i) w.u8(p[i]);
+  w.raw(e.payload.data(), e.payload.size());
 }
 
 zab::LogEntry get_entry(BufferReader& r) {

@@ -73,6 +73,9 @@ sim::MessagePtr decode_from(BufferReader& r);
 
 inline std::vector<std::uint8_t> encode_message(const sim::Message& m) {
   BufferWriter w;
+  // One allocation covers every fixed-size message; the byte-at-a-time
+  // appends would otherwise regrow the vector from empty several times.
+  w.reserve(128);
   encode_into(w, m);
   return w.take();
 }

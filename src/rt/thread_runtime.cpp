@@ -3,9 +3,13 @@
 #include <arpa/inet.h>
 #include <netinet/in.h>
 #include <netinet/tcp.h>
+#include <sys/epoll.h>
+#include <sys/eventfd.h>
 #include <sys/socket.h>
 #include <unistd.h>
 
+#include <cerrno>
+#include <condition_variable>
 #include <cstring>
 #include <stdexcept>
 
@@ -21,40 +25,31 @@ namespace {
 // below. +1 keeps 0 invalid.
 constexpr int kTimerLoopShift = 40;
 
-// Past this many queued frames on one outbound link the peer process is
-// effectively gone; drop new frames (counted) the way a dead link would.
-constexpr std::size_t kMaxOutboundFrames = 1 << 16;
-
 constexpr std::size_t kMaxFrameBytes = 64u << 20;
+// Past this many unsent bytes on one link the peer is effectively gone;
+// drop new frames (counted) the way a dead link would.
+constexpr std::size_t kMaxLinkBytes = 64u << 20;
+constexpr std::size_t kHeaderBytes = 12;     // [u32 len][i32 from][i32 to]
+constexpr std::size_t kReadBufBytes = 64u << 10;
+// A link buffer grown past this by a burst is released once it drains.
+constexpr std::size_t kKeepBufBytes = 1u << 20;
+// Compact a link buffer once this many fully-sent bytes sit in front.
+constexpr std::size_t kCompactBytes = 64u << 10;
 
-bool write_full(int fd, const std::uint8_t* p, std::size_t n) {
-  while (n > 0) {
-    const ssize_t w = ::write(fd, p, n);
-    if (w <= 0) return false;
-    p += w;
-    n -= static_cast<std::size_t>(w);
+constexpr std::uint32_t kHelloMagic = 0x574b4c31;  // "WKL1"
+constexpr std::size_t kHelloBytes = 8;             // [u32 magic][i32 to]
+constexpr Time kConnectRetry = 50 * kMillisecond;
+constexpr int kMaxEvents = 64;
+
+// Frames in buf[from, end), walking the length prefixes.
+std::size_t count_frames(const std::vector<std::uint8_t>& buf,
+                         std::size_t from) {
+  std::size_t n = 0;
+  while (from + 4 <= buf.size()) {
+    from += 4 + load_le32(buf.data() + from);
+    ++n;
   }
-  return true;
-}
-
-bool read_full(int fd, std::uint8_t* p, std::size_t n) {
-  while (n > 0) {
-    const ssize_t r = ::read(fd, p, n);
-    if (r <= 0) return false;
-    p += r;
-    n -= static_cast<std::size_t>(r);
-  }
-  return true;
-}
-
-std::vector<std::uint8_t> make_frame(NodeId from, NodeId to,
-                                     const std::vector<std::uint8_t>& payload) {
-  std::vector<std::uint8_t> frame(12 + payload.size());
-  store_le32(frame.data(), static_cast<std::uint32_t>(8 + payload.size()));
-  store_le32(frame.data() + 4, static_cast<std::uint32_t>(from));
-  store_le32(frame.data() + 8, static_cast<std::uint32_t>(to));
-  std::memcpy(frame.data() + 12, payload.data(), payload.size());
-  return frame;
+  return n;
 }
 
 // Sequential per-thread seeds: determinism of draws within a thread, not
@@ -62,6 +57,13 @@ std::vector<std::uint8_t> make_frame(NodeId from, NodeId to,
 std::atomic<std::uint64_t> thread_counter{0};
 
 }  // namespace
+
+thread_local ThreadRuntime::Loop* ThreadRuntime::current_ = nullptr;
+
+ThreadRuntime::Loop::~Loop() {
+  if (wake.fd >= 0) ::close(wake.fd);
+  if (epfd >= 0) ::close(epfd);
+}
 
 ThreadRuntime::ThreadRuntime(std::uint64_t seed)
     : seed_(seed), start_tp_(std::chrono::steady_clock::now()) {}
@@ -78,6 +80,7 @@ std::size_t ThreadRuntime::add_loop() {
   std::lock_guard<std::mutex> lk(route_mu_);
   if (started_) throw std::logic_error("add_loop after start");
   loops_.push_back(std::make_unique<Loop>());
+  loops_.back()->owner = this;
   return loops_.size() - 1;
 }
 
@@ -102,7 +105,7 @@ void ThreadRuntime::add_remote(NodeId id, SiteId site) {
 }
 
 void ThreadRuntime::listen(std::uint16_t port) {
-  const int fd = ::socket(AF_INET, SOCK_STREAM, 0);
+  const int fd = ::socket(AF_INET, SOCK_STREAM | SOCK_NONBLOCK | SOCK_CLOEXEC, 0);
   if (fd < 0) throw std::runtime_error("socket() failed");
   int one = 1;
   ::setsockopt(fd, SOL_SOCKET, SO_REUSEADDR, &one, sizeof(one));
@@ -120,16 +123,17 @@ void ThreadRuntime::listen(std::uint16_t port) {
     throw std::runtime_error("listen() failed");
   }
   std::lock_guard<std::mutex> lk(route_mu_);
-  if (started_) throw std::logic_error("listen after start");
-  listen_fds_.push_back(fd);
+  if (started_) {
+    ::close(fd);
+    throw std::logic_error("listen after start");
+  }
+  listeners_.push_back(std::make_unique<Io>(Io{Io::Kind::kListen, fd}));
 }
 
 void ThreadRuntime::connect_site(SiteId site, std::uint16_t port) {
   std::lock_guard<std::mutex> lk(route_mu_);
   if (started_) throw std::logic_error("connect_site after start");
-  auto conn = std::make_unique<Conn>();
-  conn->port = port;
-  conns_[site] = std::move(conn);
+  site_ports_[site] = port;
 }
 
 NodeId ThreadRuntime::spawn(sim::Actor& actor, SiteId site) {
@@ -147,72 +151,78 @@ void ThreadRuntime::start() {
   {
     std::lock_guard<std::mutex> lk(route_mu_);
     if (started_) throw std::logic_error("start() twice");
+    if (!listeners_.empty() && loops_.empty()) {
+      throw std::logic_error("listen() needs a loop to serve it");
+    }
     started_ = true;
   }
+  for (auto& loop : loops_) {
+    loop->epfd = ::epoll_create1(EPOLL_CLOEXEC);
+    loop->wake.fd = ::eventfd(0, EFD_NONBLOCK | EFD_CLOEXEC);
+    if (loop->epfd < 0 || loop->wake.fd < 0) {
+      throw std::runtime_error("epoll/eventfd setup failed");
+    }
+    // Edge-triggered and never read: every write is one fresh edge.
+    watch(*loop, loop->wake, EPOLLIN | EPOLLET, true);
+  }
+  for (auto& l : listeners_) watch(*loops_.front(), *l, EPOLLIN, true);
   running_.store(true);
-  for (auto& [site, conn] : conns_) {
-    (void)site;
-    conn->writer = std::thread([this, c = conn.get()] { run_writer(*c); });
-  }
-  for (const int fd : listen_fds_) {
-    acceptors_.emplace_back([this, fd] { run_acceptor(fd); });
-  }
   for (auto& loop : loops_) {
     loop->thread = std::thread([this, l = loop.get()] { run_loop(*l); });
   }
 }
 
 void ThreadRuntime::stop() {
-  if (!running_.exchange(false)) return;
-  // Break accept() and in-flight reads/writes.
-  for (const int fd : listen_fds_) ::shutdown(fd, SHUT_RDWR);
-  {
-    std::lock_guard<std::mutex> lk(io_mu_);
-    for (const int fd : reader_fds_) ::shutdown(fd, SHUT_RDWR);
-  }
-  for (auto& [site, conn] : conns_) {
-    (void)site;
-    std::lock_guard<std::mutex> lk(conn->mu);
-    if (conn->fd >= 0) ::shutdown(conn->fd, SHUT_RDWR);
-    conn->cv.notify_all();
-  }
-  for (auto& loop : loops_) {
-    std::lock_guard<std::mutex> lk(loop->mu);
-    loop->cv.notify_all();
-  }
-  for (auto& loop : loops_) {
-    if (loop->thread.joinable()) loop->thread.join();
-  }
-  for (auto& [site, conn] : conns_) {
-    (void)site;
-    if (conn->writer.joinable()) conn->writer.join();
-    if (conn->fd >= 0) {
-      ::close(conn->fd);
-      conn->fd = -1;
+  if (running_.exchange(false)) {
+    for (auto& loop : loops_) ring(*loop);
+    for (auto& loop : loops_) {
+      if (loop->thread.joinable()) loop->thread.join();
+    }
+    // Every loop has closed its own sockets; what is left was in transit
+    // between loops. The reactor fds live as long as their Loop, so a late
+    // post() from a foreign thread never writes to a recycled fd.
+    for (auto& loop : loops_) {
+      for (const int fd : loop->adopted) ::close(fd);
+      loop->adopted.clear();
     }
   }
-  for (auto& t : acceptors_) {
-    if (t.joinable()) t.join();
-  }
-  acceptors_.clear();
-  for (const int fd : listen_fds_) ::close(fd);
-  listen_fds_.clear();
-  std::vector<std::thread> readers;
-  {
-    std::lock_guard<std::mutex> lk(io_mu_);
-    readers.swap(reader_threads_);
-    for (const int fd : reader_fds_) ::close(fd);
-    reader_fds_.clear();
-  }
-  for (auto& t : readers) {
-    if (t.joinable()) t.join();
-  }
+  for (auto& l : listeners_) ::close(l->fd);
+  listeners_.clear();
 }
 
 ThreadRuntime::Loop* ThreadRuntime::loop_of(NodeId node) const {
   std::lock_guard<std::mutex> lk(route_mu_);
   const auto it = local_.find(node);
   return it == local_.end() ? nullptr : it->second.loop;
+}
+
+template <class F>
+void ThreadRuntime::push(Loop& loop, F&& add) {
+  bool wake;
+  {
+    std::lock_guard<std::mutex> lk(loop.mu);
+    add();
+    wake = loop.parked;
+    loop.parked = false;
+  }
+  if (wake) ring(loop);
+}
+
+void ThreadRuntime::ring(Loop& loop) {
+  const std::uint64_t one = 1;
+  [[maybe_unused]] const ssize_t w = ::write(loop.wake.fd, &one, sizeof(one));
+}
+
+std::uint64_t ThreadRuntime::add_timer(Loop& loop, Time delay,
+                                       std::function<void()> fn) {
+  const Time deadline = now() + (delay < 0 ? 0 : delay);
+  std::uint64_t seq = 0;
+  push(loop, [&] {
+    seq = loop.next_seq++;
+    loop.timers.emplace(std::make_pair(deadline, seq), std::move(fn));
+    loop.deadline_of[seq] = deadline;
+  });
+  return seq;
 }
 
 TimerId ThreadRuntime::schedule(NodeId home, Time delay,
@@ -228,15 +238,7 @@ TimerId ThreadRuntime::schedule(NodeId home, Time delay,
     loop = it->second.loop;
     idx = it->second.loop_idx;
   }
-  const Time deadline = now() + (delay < 0 ? 0 : delay);
-  std::uint64_t seq;
-  {
-    std::lock_guard<std::mutex> lk(loop->mu);
-    seq = loop->next_seq++;
-    loop->timers.emplace(std::make_pair(deadline, seq), std::move(fn));
-    loop->deadline_of[seq] = deadline;
-    loop->cv.notify_all();
-  }
+  const std::uint64_t seq = add_timer(*loop, delay, std::move(fn));
   return (static_cast<TimerId>(idx + 1) << kTimerLoopShift) | seq;
 }
 
@@ -257,47 +259,37 @@ void ThreadRuntime::cancel(TimerId id) {
   loop->deadline_of.erase(it);
 }
 
-void ThreadRuntime::enqueue_local(Loop& loop, Delivery d) {
-  std::lock_guard<std::mutex> lk(loop.mu);
-  loop.inbox.push_back(std::move(d));
-  loop.cv.notify_all();
-}
-
 void ThreadRuntime::send(NodeId from, NodeId to, sim::MessagePtr msg) {
-  std::vector<std::uint8_t> payload = encode_message(*msg);
-  Loop* loop = nullptr;
-  Conn* conn = nullptr;
-  {
-    std::lock_guard<std::mutex> lk(route_mu_);
-    const auto it = local_.find(to);
-    if (it != local_.end()) {
-      loop = it->second.loop;
-    } else {
-      const auto rit = remote_site_.find(to);
-      if (rit == remote_site_.end()) {
-        ++frames_dropped_;
-        return;
-      }
-      const auto cit = conns_.find(rit->second);
-      if (cit == conns_.end()) {
-        ++frames_dropped_;
-        return;
-      }
-      conn = cit->second.get();
+  Loop* cur = current_;
+  if (cur == nullptr || cur->owner != this) {
+    // The sending loop owns the link, so hand the send to `from`'s loop.
+    Loop* home = loop_of(from);
+    if (home == nullptr) {
+      ++frames_dropped_;
+      return;
     }
-  }
-  if (loop != nullptr) {
-    enqueue_local(*loop, Delivery{from, to, std::move(payload)});
+    push(*home, [&] {
+      home->posts.push_back([this, from, to, m = std::move(msg)] {
+        send(from, to, m);
+      });
+    });
     return;
   }
-  std::vector<std::uint8_t> frame = make_frame(from, to, payload);
-  std::lock_guard<std::mutex> lk(conn->mu);
-  if (conn->queue.size() >= kMaxOutboundFrames) {
+  Loop* dest = nullptr;
+  if (Link* link = route(*cur, to, &dest)) {
+    append_frame(*link, from, to, *msg);
+    if (!link->dirty) {
+      link->dirty = true;
+      cur->dirty.push_back(link);
+    }
+    return;
+  }
+  if (dest == nullptr) {
     ++frames_dropped_;
     return;
   }
-  conn->queue.push_back(std::move(frame));
-  conn->cv.notify_all();
+  Delivery d{from, to, encode_message(*msg)};
+  push(*dest, [&] { dest->inbox.push_back(std::move(d)); });
 }
 
 SiteId ThreadRuntime::site_of(NodeId node) const {
@@ -331,9 +323,7 @@ void ThreadRuntime::forget_actor(NodeId node) {
 void ThreadRuntime::post(NodeId node, std::function<void()> fn) {
   Loop* loop = loop_of(node);
   if (loop == nullptr) throw std::logic_error("post: unknown node");
-  std::lock_guard<std::mutex> lk(loop->mu);
-  loop->posts.push_back(std::move(fn));
-  loop->cv.notify_all();
+  push(*loop, [&] { loop->posts.push_back(std::move(fn)); });
 }
 
 void ThreadRuntime::call(NodeId node, std::function<void()> fn) {
@@ -356,30 +346,38 @@ void ThreadRuntime::collect_metrics(obs::MetricsRegistry& into) {
   std::condition_variable cv;
   std::size_t remaining = loops_.size();
   for (auto& loop : loops_) {
-    std::lock_guard<std::mutex> lk(loop->mu);
-    loop->posts.push_back([this, &into, &mu, &cv, &remaining] {
-      // Runs on the loop thread: obs() resolves to ITS registry.
-      std::lock_guard<std::mutex> lk2(mu);
-      into.merge_from(obs().metrics);
-      if (--remaining == 0) cv.notify_all();
+    push(*loop, [&] {
+      loop->posts.push_back([this, &into, &mu, &cv, &remaining] {
+        // Runs on the loop thread: obs() resolves to ITS registry.
+        std::lock_guard<std::mutex> lk2(mu);
+        into.merge_from(obs().metrics);
+        if (--remaining == 0) cv.notify_all();
+      });
     });
-    loop->cv.notify_all();
   }
   std::unique_lock<std::mutex> lk(mu);
   cv.wait(lk, [&] { return remaining == 0; });
 }
 
-void ThreadRuntime::deliver(const Delivery& d) {
+void ThreadRuntime::deliver(Loop& loop, NodeId from, NodeId to,
+                            const std::uint8_t* data, std::size_t size) {
   sim::Actor* actor = nullptr;
   {
     std::lock_guard<std::mutex> lk(route_mu_);
-    const auto it = local_.find(d.to);
-    if (it != local_.end()) actor = it->second.actor;
+    const auto it = local_.find(to);
+    if (it != local_.end() && it->second.loop == &loop) {
+      actor = it->second.actor;
+    }
   }
-  if (actor == nullptr || !actor->up_) return;
+  if (actor == nullptr) {
+    ++frames_dropped_;
+    return;
+  }
+  if (!actor->up_) return;
   try {
-    sim::MessagePtr msg = decode_message(d.bytes);
-    actor->on_message(d.from, msg);
+    BufferReader r(data, size);
+    sim::MessagePtr msg = decode_from(r);
+    actor->on_message(from, msg);
   } catch (const BufferError& e) {
     // A malformed frame is a codec bug or a torn stream; drop it like a
     // corrupt packet rather than taking the loop down.
@@ -388,144 +386,409 @@ void ThreadRuntime::deliver(const Delivery& d) {
   }
 }
 
+// One turn: flush what the last turn's handlers sent, park in epoll until
+// a socket, a producer or the next timer needs the loop, then serve them.
 void ThreadRuntime::run_loop(Loop& loop) {
+  current_ = &loop;
   for (sim::Actor* actor : loop.actors) actor->start();
-  std::unique_lock<std::mutex> lk(loop.mu);
+  epoll_event events[kMaxEvents];
+  std::deque<std::function<void()>> posts;
+  std::deque<Delivery> inbox;
+  std::vector<int> adopted;
   while (running_.load()) {
-    if (!loop.posts.empty()) {
-      auto fn = std::move(loop.posts.front());
-      loop.posts.pop_front();
-      lk.unlock();
-      fn();
-      lk.lock();
-      continue;
+    for (Link* link : loop.dirty) {
+      link->dirty = false;
+      flush(loop, *link);
     }
-    if (!loop.inbox.empty()) {
-      Delivery d = std::move(loop.inbox.front());
-      loop.inbox.pop_front();
-      lk.unlock();
-      deliver(d);
-      lk.lock();
-      continue;
+    loop.dirty.clear();
+
+    timespec wait{};
+    const timespec* timeout = &wait;
+    {
+      std::lock_guard<std::mutex> lk(loop.mu);
+      if (loop.posts.empty() && loop.inbox.empty() && loop.adopted.empty()) {
+        if (loop.timers.empty()) {
+          timeout = nullptr;
+        } else {
+          const auto left = start_tp_ +
+                            std::chrono::microseconds(
+                                loop.timers.begin()->first.first) -
+                            std::chrono::steady_clock::now();
+          const auto ns =
+              std::chrono::duration_cast<std::chrono::nanoseconds>(left)
+                  .count();
+          if (ns > 0) {
+            wait.tv_sec = static_cast<time_t>(ns / 1000000000);
+            wait.tv_nsec = static_cast<long>(ns % 1000000000);
+          }
+        }
+        loop.parked = timeout == nullptr || wait.tv_sec > 0 || wait.tv_nsec > 0;
+      }
     }
-    if (!loop.timers.empty() && loop.timers.begin()->first.first <= now()) {
-      auto it = loop.timers.begin();
-      const std::uint64_t seq = it->first.second;
-      auto fn = std::move(it->second);
-      loop.timers.erase(it);
-      loop.deadline_of.erase(seq);
-      lk.unlock();
-      fn();
-      lk.lock();
-      continue;
+    const int n = ::epoll_pwait2(loop.epfd, events, kMaxEvents, timeout,
+                                 nullptr);
+    {
+      std::lock_guard<std::mutex> lk(loop.mu);
+      loop.parked = false;
+      posts.swap(loop.posts);
+      inbox.swap(loop.inbox);
+      adopted.swap(loop.adopted);
     }
-    if (loop.timers.empty()) {
-      loop.cv.wait_for(lk, std::chrono::milliseconds(100));
-    } else {
-      loop.cv.wait_until(
-          lk, start_tp_ + std::chrono::microseconds(
-                              loop.timers.begin()->first.first));
+    for (int i = 0; i < n; ++i) {
+      on_ready(loop, *static_cast<Io*>(events[i].data.ptr), events[i].events);
     }
+    for (const int fd : adopted) adopt(loop, fd);
+    adopted.clear();
+    for (auto& fn : posts) fn();
+    posts.clear();
+    for (const Delivery& d : inbox) {
+      deliver(loop, d.from, d.to, d.bytes.data(), d.bytes.size());
+    }
+    inbox.clear();
+    run_due_timers(loop);
   }
   // Unblock any call() waiters that raced shutdown.
-  while (!loop.posts.empty()) {
-    auto fn = std::move(loop.posts.front());
-    loop.posts.pop_front();
-    lk.unlock();
+  for (;;) {
+    {
+      std::lock_guard<std::mutex> lk(loop.mu);
+      posts.swap(loop.posts);
+    }
+    if (posts.empty()) break;
+    for (auto& fn : posts) fn();
+    posts.clear();
+  }
+  for (auto& [to, link] : loop.links) {
+    (void)to;
+    if (link->fd >= 0) ::close(link->fd);
+  }
+  for (auto& [fd, in] : loop.inbound) {
+    (void)in;
+    ::close(fd);
+  }
+  current_ = nullptr;
+}
+
+void ThreadRuntime::run_due_timers(Loop& loop) {
+  const Time t = now();
+  for (;;) {
+    std::function<void()> fn;
+    {
+      std::lock_guard<std::mutex> lk(loop.mu);
+      if (loop.timers.empty() || loop.timers.begin()->first.first > t) return;
+      auto it = loop.timers.begin();
+      loop.deadline_of.erase(it->first.second);
+      fn = std::move(it->second);
+      loop.timers.erase(it);
+    }
     fn();
-    lk.lock();
   }
 }
 
-void ThreadRuntime::run_writer(Conn& conn) {
-  std::unique_lock<std::mutex> lk(conn.mu);
-  while (running_.load()) {
-    if (conn.queue.empty()) {
-      conn.cv.wait_for(lk, std::chrono::milliseconds(100));
-      continue;
-    }
-    if (conn.fd < 0) {
-      lk.unlock();
-      const int fd = ::socket(AF_INET, SOCK_STREAM, 0);
-      sockaddr_in addr{};
-      addr.sin_family = AF_INET;
-      addr.sin_port = htons(conn.port);
-      addr.sin_addr.s_addr = htonl(INADDR_LOOPBACK);
-      int connected = -1;
-      if (fd >= 0) {
-        connected =
-            ::connect(fd, reinterpret_cast<sockaddr*>(&addr), sizeof(addr));
-        if (connected == 0) {
-          int one = 1;
-          ::setsockopt(fd, IPPROTO_TCP, TCP_NODELAY, &one, sizeof(one));
-        } else {
-          ::close(fd);
+void ThreadRuntime::on_ready(Loop& loop, Io& io, std::uint32_t events) {
+  switch (io.kind) {
+    case Io::Kind::kWake:
+      return;  // the wakeup itself was the message
+    case Io::Kind::kListen:
+      accept_all(loop, io.fd);
+      return;
+    case Io::Kind::kHello:
+      read_hello(loop, static_cast<Inbound&>(io));
+      return;
+    case Io::Kind::kInbound:
+      read_inbound(loop, static_cast<Inbound&>(io));
+      return;
+    case Io::Kind::kLink: {
+      Link& link = static_cast<Link&>(io);
+      if (link.connecting) {
+        int err = 0;
+        socklen_t len = sizeof(err);
+        ::getsockopt(link.fd, SOL_SOCKET, SO_ERROR, &err, &len);
+        if (err != 0) {
+          retry_connect(loop, link);
+          return;
         }
+        link.connecting = false;
+        on_connected(loop, link);
+        return;
       }
-      if (connected != 0) {
-        // Peer process not up yet (or gone): retry; queued frames wait.
-        std::this_thread::sleep_for(std::chrono::milliseconds(50));
-        lk.lock();
-        continue;
+      // The peer never writes on a link, so readable means EOF or reset.
+      if ((events & (EPOLLIN | EPOLLERR | EPOLLHUP)) != 0) {
+        link_dead(link);
+        return;
       }
-      lk.lock();
-      conn.fd = fd;
-    }
-    std::vector<std::uint8_t> frame = std::move(conn.queue.front());
-    conn.queue.pop_front();
-    const int fd = conn.fd;
-    lk.unlock();
-    const bool ok = write_full(fd, frame.data(), frame.size());
-    lk.lock();
-    if (!ok) {
-      ++frames_dropped_;
-      if (conn.fd >= 0) {
-        ::close(conn.fd);
-        conn.fd = -1;
-      }
+      if ((events & EPOLLOUT) != 0) write_link(loop, link);
+      return;
     }
   }
 }
 
-void ThreadRuntime::run_acceptor(int listen_fd) {
-  while (running_.load()) {
-    const int fd = ::accept(listen_fd, nullptr, nullptr);
-    if (fd < 0) {
-      if (!running_.load()) return;
-      continue;
-    }
-    int one = 1;
-    ::setsockopt(fd, IPPROTO_TCP, TCP_NODELAY, &one, sizeof(one));
-    std::lock_guard<std::mutex> lk(io_mu_);
-    if (!running_.load()) {
-      ::close(fd);
-      return;
-    }
-    reader_fds_.push_back(fd);
-    reader_threads_.emplace_back([this, fd] { run_reader(fd); });
+void ThreadRuntime::watch(Loop& loop, Io& io, std::uint32_t events, bool add) {
+  epoll_event ev{};
+  ev.events = events;
+  ev.data.ptr = &io;
+  ::epoll_ctl(loop.epfd, add ? EPOLL_CTL_ADD : EPOLL_CTL_MOD, io.fd, &ev);
+}
+
+// --- listening side ---
+
+void ThreadRuntime::accept_all(Loop& loop, int listen_fd) {
+  for (;;) {
+    const int fd = ::accept4(listen_fd, nullptr, nullptr,
+                             SOCK_NONBLOCK | SOCK_CLOEXEC);
+    if (fd < 0) return;
+    auto in = std::make_unique<Inbound>();
+    in->kind = Io::Kind::kHello;
+    in->fd = fd;
+    in->buf.resize(kHelloBytes);
+    watch(loop, *in, EPOLLIN, true);
+    loop.inbound[fd] = std::move(in);
   }
 }
 
-void ThreadRuntime::run_reader(int fd) {
-  std::uint8_t header[12];
-  while (running_.load()) {
-    if (!read_full(fd, header, sizeof(header))) return;
-    const std::uint32_t len = load_le32(header);
-    if (len < 8 || len > kMaxFrameBytes) return;  // torn stream
-    Delivery d;
-    d.from = static_cast<NodeId>(load_le32(header + 4));
-    d.to = static_cast<NodeId>(load_le32(header + 8));
-    d.bytes.resize(len - 8);
-    if (!d.bytes.empty() && !read_full(fd, d.bytes.data(), d.bytes.size())) {
+void ThreadRuntime::read_hello(Loop& loop, Inbound& in) {
+  // Read exactly the hello: whatever follows belongs to the owning loop.
+  const ssize_t r = ::read(in.fd, in.buf.data() + in.have, kHelloBytes - in.have);
+  if (r < 0 && (errno == EAGAIN || errno == EINTR)) return;
+  if (r <= 0) {
+    close_inbound(loop, in);
+    return;
+  }
+  in.have += static_cast<std::size_t>(r);
+  if (in.have < kHelloBytes) return;
+  const int fd = in.fd;
+  Loop* dest = load_le32(in.buf.data()) == kHelloMagic
+                   ? loop_of(static_cast<NodeId>(load_le32(in.buf.data() + 4)))
+                   : nullptr;
+  ::epoll_ctl(loop.epfd, EPOLL_CTL_DEL, fd, nullptr);
+  loop.inbound.erase(fd);
+  if (dest == nullptr) {
+    ::close(fd);
+    return;
+  }
+  push(*dest, [&] { dest->adopted.push_back(fd); });
+}
+
+void ThreadRuntime::adopt(Loop& loop, int fd) {
+  auto in = std::make_unique<Inbound>();
+  in->kind = Io::Kind::kInbound;
+  in->fd = fd;
+  in->buf.resize(kReadBufBytes);
+  watch(loop, *in, EPOLLIN, true);
+  loop.inbound[fd] = std::move(in);
+}
+
+// One read() per readiness (the fd is level-triggered), then every
+// complete frame in the buffer is delivered right here on the loop.
+void ThreadRuntime::read_inbound(Loop& loop, Inbound& in) {
+  const ssize_t r =
+      ::read(in.fd, in.buf.data() + in.have, in.buf.size() - in.have);
+  if (r < 0 && (errno == EAGAIN || errno == EINTR)) return;
+  if (r <= 0) {
+    if (in.have > 0) ++frames_dropped_;  // torn by the connection's death
+    close_inbound(loop, in);
+    return;
+  }
+  in.have += static_cast<std::size_t>(r);
+  std::size_t off = 0;
+  std::size_t need = 0;  // bytes of the first incomplete frame
+  while (in.have - off >= kHeaderBytes) {
+    const std::uint8_t* p = in.buf.data() + off;
+    const std::uint32_t len = load_le32(p);
+    if (len < 8 || len > kMaxFrameBytes) {  // torn stream
+      ++frames_dropped_;
+      close_inbound(loop, in);
       return;
     }
-    Loop* loop = loop_of(d.to);
-    if (loop == nullptr) {
-      ++frames_dropped_;
-      continue;
+    if (in.have - off < 4 + static_cast<std::size_t>(len)) {
+      need = 4 + static_cast<std::size_t>(len);
+      break;
     }
-    enqueue_local(*loop, std::move(d));
+    deliver(loop, static_cast<NodeId>(load_le32(p + 4)),
+            static_cast<NodeId>(load_le32(p + 8)), p + kHeaderBytes, len - 8);
+    off += 4 + static_cast<std::size_t>(len);
   }
+  if (off > 0) {
+    std::memmove(in.buf.data(), in.buf.data() + off, in.have - off);
+    in.have -= off;
+  }
+  if (need > in.buf.size()) {
+    in.buf.resize(need);
+  } else if (in.have == 0 && in.buf.size() > kReadBufBytes) {
+    in.buf.resize(kReadBufBytes);
+    in.buf.shrink_to_fit();
+  }
+}
+
+void ThreadRuntime::close_inbound(Loop& loop, Inbound& in) {
+  const int fd = in.fd;
+  ::close(fd);
+  loop.inbound.erase(fd);
+}
+
+// --- sending side ---
+
+ThreadRuntime::Link* ThreadRuntime::route(Loop& loop, NodeId to,
+                                          Loop** local) {
+  const auto it = loop.links.find(to);
+  if (it != loop.links.end()) return it->second.get();
+  std::lock_guard<std::mutex> lk(route_mu_);
+  const auto lit = local_.find(to);
+  if (lit != local_.end()) {
+    *local = lit->second.loop;
+    return nullptr;
+  }
+  const auto rit = remote_site_.find(to);
+  if (rit == remote_site_.end()) return nullptr;
+  auto link = std::make_unique<Link>();
+  link->kind = Io::Kind::kLink;
+  link->to = to;
+  const auto pit = site_ports_.find(rit->second);
+  if (pit != site_ports_.end()) link->port = pit->second;
+  return loop.links.emplace(to, std::move(link)).first->second.get();
+}
+
+// Encodes straight into the link buffer behind a 12-byte header whose
+// length is patched in afterwards: no payload vector, no frame copy.
+void ThreadRuntime::append_frame(Link& link, NodeId from, NodeId to,
+                                 const sim::Message& msg) {
+  if (link.port == 0 || link.out.size() - link.head >= kMaxLinkBytes) {
+    ++frames_dropped_;
+    return;
+  }
+  const std::size_t at = link.out.size();
+  BufferWriter w(std::move(link.out));
+  w.u32(0);
+  w.i32(from);
+  w.i32(to);
+  try {
+    encode_into(w, msg);
+  } catch (...) {
+    link.out = w.take();
+    link.out.resize(at);
+    throw;
+  }
+  link.out = w.take();
+  const std::size_t len = link.out.size() - at - 4;
+  if (len > kMaxFrameBytes) {
+    link.out.resize(at);
+    ++frames_dropped_;
+    return;
+  }
+  store_le32(link.out.data() + at, static_cast<std::uint32_t>(len));
+}
+
+void ThreadRuntime::flush(Loop& loop, Link& link) {
+  if (link.sent == link.out.size()) return;
+  if (link.fd < 0) {
+    if (!link.retry_armed) connect_link(loop, link);
+    return;
+  }
+  // Mid-connect or blocked on a full socket: EPOLLOUT resumes the write.
+  if (link.connecting || link.want_out) return;
+  write_link(loop, link);
+}
+
+// One non-blocking send of everything unsent; a partial write or EAGAIN
+// keeps the rest and arms EPOLLOUT.
+void ThreadRuntime::write_link(Loop& loop, Link& link) {
+  const ssize_t w = ::send(link.fd, link.out.data() + link.sent,
+                           link.out.size() - link.sent,
+                           MSG_NOSIGNAL | MSG_DONTWAIT);
+  if (w < 0 && errno != EAGAIN && errno != EWOULDBLOCK && errno != EINTR) {
+    link_dead(link);
+    return;
+  }
+  if (w > 0) link.sent += static_cast<std::size_t>(w);
+  if (link.sent == link.out.size()) {
+    link.out.clear();
+    link.head = link.sent = 0;
+    if (link.out.capacity() > kKeepBufBytes) link.out.shrink_to_fit();
+    set_want_out(loop, link, false);
+    return;
+  }
+  while (link.head + 4 <= link.sent) {
+    const std::size_t end = link.head + 4 + load_le32(link.out.data() + link.head);
+    if (end > link.sent) break;
+    link.head = end;
+  }
+  if (link.head >= kCompactBytes) {
+    link.out.erase(link.out.begin(),
+                   link.out.begin() + static_cast<std::ptrdiff_t>(link.head));
+    link.sent -= link.head;
+    link.head = 0;
+  }
+  set_want_out(loop, link, true);
+}
+
+void ThreadRuntime::set_want_out(Loop& loop, Link& link, bool on) {
+  if (link.want_out == on) return;
+  link.want_out = on;
+  watch(loop, link, on ? (EPOLLIN | EPOLLOUT) : EPOLLIN, false);
+}
+
+void ThreadRuntime::connect_link(Loop& loop, Link& link) {
+  link.fd = ::socket(AF_INET, SOCK_STREAM | SOCK_NONBLOCK | SOCK_CLOEXEC, 0);
+  if (link.fd < 0) {
+    retry_connect(loop, link);
+    return;
+  }
+  int one = 1;
+  ::setsockopt(link.fd, IPPROTO_TCP, TCP_NODELAY, &one, sizeof(one));
+  sockaddr_in addr{};
+  addr.sin_family = AF_INET;
+  addr.sin_port = htons(link.port);
+  addr.sin_addr.s_addr = htonl(INADDR_LOOPBACK);
+  if (::connect(link.fd, reinterpret_cast<sockaddr*>(&addr), sizeof(addr)) ==
+      0) {
+    watch(loop, link, EPOLLIN, true);
+    on_connected(loop, link);
+  } else if (errno == EINPROGRESS) {
+    // Completion or refusal shows up as EPOLLOUT/EPOLLERR; on_ready reads
+    // SO_ERROR then.
+    link.connecting = true;
+    link.want_out = true;
+    watch(loop, link, EPOLLIN | EPOLLOUT, true);
+  } else {
+    retry_connect(loop, link);
+  }
+}
+
+// Peer not listening (yet, or any more): keep the frames, retry in 50 ms.
+void ThreadRuntime::retry_connect(Loop& loop, Link& link) {
+  if (link.fd >= 0) ::close(link.fd);
+  link.fd = -1;
+  link.connecting = false;
+  link.want_out = false;
+  link.retry_armed = true;
+  add_timer(loop, kConnectRetry, [this, &loop, &link] {
+    link.retry_armed = false;
+    if (link.fd < 0 && !link.out.empty()) connect_link(loop, link);
+  });
+}
+
+void ThreadRuntime::on_connected(Loop& loop, Link& link) {
+  std::uint8_t hello[kHelloBytes];
+  store_le32(hello, kHelloMagic);
+  store_le32(hello + 4, static_cast<std::uint32_t>(link.to));
+  // A fresh socket's send buffer always has room for 8 bytes.
+  if (::send(link.fd, hello, sizeof(hello), MSG_NOSIGNAL | MSG_DONTWAIT) !=
+      static_cast<ssize_t>(sizeof(hello))) {
+    link_dead(link);
+    return;
+  }
+  write_link(loop, link);
+}
+
+// The connection died: its unsent frames are lost (counted) and the next
+// frame reconnects.
+void ThreadRuntime::link_dead(Link& link) {
+  frames_dropped_ += count_frames(link.out, link.head);
+  link.out.clear();
+  link.head = link.sent = 0;
+  if (link.fd >= 0) ::close(link.fd);
+  link.fd = -1;
+  link.connecting = false;
+  link.want_out = false;
 }
 
 }  // namespace wankeeper::rt

@@ -6,21 +6,30 @@
 // decoded on the destination loop, so no mutable state ever crosses a node
 // boundary by pointer.
 //
+// Threads: exactly one per loop, nothing else. Each loop is an epoll
+// reactor over an edge-triggered eventfd (written by another thread only
+// while the loop is parked), its timers (µs deadlines via epoll_pwait2),
+// and the sockets it owns.
+//
 // Cross-process topology: a node is either local (registered with
 // add_actor) or remote (registered with add_remote, reachable through the
-// TCP connection of its site). Frames are length-prefixed:
+// listener of its site). Frames are length-prefixed:
 //   [u32 len][i32 from][i32 to][codec payload],  len = 8 + payload size.
-// One listener socket per local site accepts peer processes' connections;
-// one outbound connection (with a dedicated writer thread and a bounded
-// queue) serves each remote site. Loss semantics match the seam contract:
-// frames queued while a peer is down are delivered when it connects, frames
-// in flight when a connection dies are gone — exactly the link-loss the
-// protocols already recover from (Zab resync, WAN retransmit).
+// Outbound, every (sending loop, remote node) pair gets its own TCP link,
+// owned by the sending loop: a handler's sends are encoded straight into
+// the link buffer and written with one non-blocking send(MSG_NOSIGNAL) per
+// loop turn. A link opens with an 8-byte hello [u32 magic][i32 to]; the
+// listening loop (loop 0) reads it and hands the socket to the loop that
+// owns `to`, which reads the stream itself and delivers each frame inline.
+// Loss semantics match the seam contract: frames sent while a link is not
+// connected wait (bounded, overflow counted) and flush in order once the
+// 50 ms connect retry succeeds; frames still unsent when a connection dies
+// are gone (counted) — exactly the link-loss the protocols already recover
+// from (Zab resync, WAN retransmit).
 #pragma once
 
 #include <atomic>
 #include <chrono>
-#include <condition_variable>
 #include <cstdint>
 #include <deque>
 #include <functional>
@@ -52,17 +61,17 @@ class ThreadRuntime final : public Runtime, public sim::ActorRegistry {
   // Register a local actor under an explicit, cluster-wide-agreed id.
   void add_actor(sim::Actor& actor, NodeId id, SiteId site, std::size_t loop);
   // Declare a node that lives in another process; sends to it are framed
-  // over the TCP connection of `site`.
+  // over a TCP link to the listener of `site`.
   void add_remote(NodeId id, SiteId site);
-  // Accept frames for local actors on 127.0.0.1:port.
+  // Accept links for local actors on 127.0.0.1:port (served by loop 0).
   void listen(std::uint16_t port);
   // Route frames addressed to `site`'s nodes to 127.0.0.1:port.
   void connect_site(SiteId site, std::uint16_t port);
 
-  // Launches writer/listener/loop threads. Each loop first runs its actors'
-  // start() in registration order, then serves timers and deliveries.
+  // Launches one thread per loop. Each loop first runs its actors' start()
+  // in registration order, then serves timers, deliveries and sockets.
   void start();
-  // Stops every thread and joins them; idempotent, also run by ~.
+  // Stops every loop and joins it; idempotent, also run by ~.
   // Registered actors must outlive this call.
   void stop();
 
@@ -87,6 +96,8 @@ class ThreadRuntime final : public Runtime, public sim::ActorRegistry {
   // Creates a dedicated loop and auto-assigns an id (ids from 1<<20, clear
   // of any cluster plan). Pre-start only.
   NodeId spawn(sim::Actor& actor, SiteId site) override;
+  // On a loop thread the frame leaves from that loop; from any other
+  // thread the send is posted to `from`'s loop.
   void send(NodeId from, NodeId to, sim::MessagePtr msg) override;
   SiteId site_of(NodeId node) const override;
   obs::Context& obs() override;          // per-thread shard
@@ -103,10 +114,45 @@ class ThreadRuntime final : public Runtime, public sim::ActorRegistry {
     std::vector<std::uint8_t> bytes;
   };
 
+  // What an epoll registration points at.
+  struct Io {
+    enum class Kind { kWake, kListen, kHello, kInbound, kLink };
+    Kind kind;
+    int fd = -1;
+  };
+
+  // Accepted socket: waiting for its hello on the listening loop (kHello),
+  // then read by the destination node's loop (kInbound).
+  struct Inbound : Io {
+    std::vector<std::uint8_t> buf;
+    std::size_t have = 0;
+  };
+
+  // Outbound link from one loop to one remote node; only that loop's
+  // thread touches it. `out` holds whole frames; [0, sent) already went
+  // to the socket, and `head` is the start of the first frame not yet
+  // fully sent.
+  struct Link : Io {
+    NodeId to = kNoNode;
+    std::uint16_t port = 0;
+    bool connecting = false;   // non-blocking connect in progress
+    bool want_out = false;     // EPOLLOUT armed
+    bool dirty = false;        // queued on Loop::dirty for this turn's flush
+    bool retry_armed = false;  // a failed connect waits for its retry
+    std::vector<std::uint8_t> out;
+    std::size_t head = 0;
+    std::size_t sent = 0;
+  };
+
   struct Loop {
+    ~Loop();  // closes the reactor fds
+
+    ThreadRuntime* owner = nullptr;
     std::thread thread;
-    std::mutex mu;
-    std::condition_variable cv;
+    int epfd = -1;
+    Io wake{Io::Kind::kWake};  // eventfd
+
+    std::mutex mu;  // guards the members down to `parked`
     // (absolute deadline, seq) -> callback; deadline_of mirrors it so
     // cancel() is a lookup, not a scan.
     std::map<std::pair<Time, std::uint64_t>, std::function<void()>> timers;
@@ -114,7 +160,14 @@ class ThreadRuntime final : public Runtime, public sim::ActorRegistry {
     std::uint64_t next_seq = 1;
     std::deque<Delivery> inbox;
     std::deque<std::function<void()>> posts;
+    std::vector<int> adopted;  // accepted fds handed over after their hello
+    bool parked = false;       // blocked in epoll; producers write `wake`
+
+    // Loop-thread only.
     std::vector<sim::Actor*> actors;  // start() order
+    std::unordered_map<NodeId, std::unique_ptr<Link>> links;
+    std::vector<Link*> dirty;
+    std::unordered_map<int, std::unique_ptr<Inbound>> inbound;  // by fd
   };
 
   struct LocalNode {
@@ -124,23 +177,42 @@ class ThreadRuntime final : public Runtime, public sim::ActorRegistry {
     SiteId site = kNoSite;
   };
 
-  // Outbound link to one remote site's process.
-  struct Conn {
-    std::uint16_t port = 0;
-    std::thread writer;
-    std::mutex mu;
-    std::condition_variable cv;
-    std::deque<std::vector<std::uint8_t>> queue;  // complete frames
-    int fd = -1;
-  };
-
   void run_loop(Loop& loop);
-  void deliver(const Delivery& d);
-  void enqueue_local(Loop& loop, Delivery d);
-  void run_writer(Conn& conn);
-  void run_acceptor(int listen_fd);
-  void run_reader(int fd);
+  void run_due_timers(Loop& loop);
+  void on_ready(Loop& loop, Io& io, std::uint32_t events);
+  std::uint64_t add_timer(Loop& loop, Time delay, std::function<void()> fn);
+  // Queue under loop.mu, then write the eventfd iff the loop was parked.
+  template <class F>
+  void push(Loop& loop, F&& add);
+  static void ring(Loop& loop);  // one eventfd write
+  void deliver(Loop& loop, NodeId from, NodeId to, const std::uint8_t* data,
+               std::size_t size);
+
+  // Listening side.
+  void accept_all(Loop& loop, int listen_fd);
+  void read_hello(Loop& loop, Inbound& in);
+  void adopt(Loop& loop, int fd);
+  void read_inbound(Loop& loop, Inbound& in);
+  void close_inbound(Loop& loop, Inbound& in);
+
+  // Sending side.
+  // `to`'s link from `loop` if it is remote (made on first use); else
+  // null, with *local set to its loop when it is local.
+  Link* route(Loop& loop, NodeId to, Loop** local);
+  void append_frame(Link& link, NodeId from, NodeId to,
+                    const sim::Message& msg);
+  void flush(Loop& loop, Link& link);
+  void write_link(Loop& loop, Link& link);
+  void connect_link(Loop& loop, Link& link);
+  void retry_connect(Loop& loop, Link& link);
+  void on_connected(Loop& loop, Link& link);
+  void link_dead(Link& link);
+  void watch(Loop& loop, Io& io, std::uint32_t events, bool add);
+  void set_want_out(Loop& loop, Link& link, bool on);
+
   Loop* loop_of(NodeId node) const;
+
+  static thread_local Loop* current_;
 
   const std::uint64_t seed_;
   const std::chrono::steady_clock::time_point start_tp_;
@@ -152,14 +224,10 @@ class ThreadRuntime final : public Runtime, public sim::ActorRegistry {
   std::vector<std::unique_ptr<Loop>> loops_;
   std::unordered_map<NodeId, LocalNode> local_;
   std::unordered_map<NodeId, SiteId> remote_site_;
-  std::map<SiteId, std::unique_ptr<Conn>> conns_;
+  std::map<SiteId, std::uint16_t> site_ports_;
   NodeId next_auto_id_ = 1 << 20;
 
-  std::vector<int> listen_fds_;
-  std::vector<std::thread> acceptors_;
-  std::mutex io_mu_;  // guards reader_threads_ / reader_fds_
-  std::vector<std::thread> reader_threads_;
-  std::vector<int> reader_fds_;
+  std::vector<std::unique_ptr<Io>> listeners_;
 
   std::atomic<std::uint64_t> frames_dropped_{0};
 };

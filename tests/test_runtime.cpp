@@ -13,8 +13,12 @@
 // schedule byte-identical.
 #include <gtest/gtest.h>
 
+#include <signal.h>
+
 #include <atomic>
 #include <chrono>
+#include <filesystem>
+#include <memory>
 #include <mutex>
 #include <thread>
 #include <vector>
@@ -427,6 +431,270 @@ TEST(ThreadRuntime, LoopbackTcpDeliversAcrossProcessesAndReconnects) {
 
   rta.stop();
   rtb.stop();
+}
+
+// Accepts any message; records sender and message for inspection.
+class SinkActor : public sim::Actor {
+ public:
+  SinkActor(rt::Runtime& rt, std::string name) : Actor(rt, std::move(name)) {}
+
+  void on_message(NodeId from, const sim::MessagePtr& msg) override {
+    std::lock_guard<std::mutex> lk(mu_);
+    received_.push_back({from, msg});
+  }
+
+  std::vector<std::pair<NodeId, sim::MessagePtr>> received() const {
+    std::lock_guard<std::mutex> lk(mu_);
+    return received_;
+  }
+  // Labels of the pings received from `from`, in arrival order.
+  std::vector<std::uint32_t> pings_from(NodeId from) const {
+    std::vector<std::uint32_t> labels;
+    for (const auto& [sender, msg] : received()) {
+      const auto* p = sim::msg_cast<zab::PingMsg>(msg.get());
+      if (sender == from && p != nullptr) labels.push_back(p->epoch);
+    }
+    return labels;
+  }
+
+ private:
+  mutable std::mutex mu_;
+  std::vector<std::pair<NodeId, sim::MessagePtr>> received_;
+};
+
+// Polls `done` every 5 ms for up to `limit`; returns its last value.
+template <typename F>
+bool eventually(F done, std::chrono::milliseconds limit =
+                            std::chrono::milliseconds(20000)) {
+  const auto deadline = std::chrono::steady_clock::now() + limit;
+  while (!done()) {
+    if (std::chrono::steady_clock::now() >= deadline) return false;
+    std::this_thread::sleep_for(std::chrono::milliseconds(5));
+  }
+  return true;
+}
+
+std::vector<std::uint32_t> iota_labels(std::uint32_t from, std::uint32_t n) {
+  std::vector<std::uint32_t> v(n);
+  for (std::uint32_t i = 0; i < n; ++i) v[i] = from + i;
+  return v;
+}
+
+sim::MessagePtr big_propose(std::size_t bytes) {
+  std::vector<std::uint8_t> payload(bytes);
+  for (std::size_t i = 0; i < bytes; ++i) {
+    payload[i] = static_cast<std::uint8_t>(i * 131 + 7);
+  }
+  auto m = sim::make_mutable_message<zab::ProposeMsg>();
+  m->epoch = 3;
+  m->entries.push_back({99, common::Bytes(std::move(payload))});
+  return m;
+}
+
+// Runtime A (sender, node 1 at site 0) links to runtime B (node 2 at site
+// 1) over loopback TCP; B can be stopped and replaced on the same port.
+struct TcpPair {
+  explicit TcpPair(std::uint16_t port) : port(port) {
+    ra.add_actor(a, 1, 0, ra.add_loop());
+    ra.add_remote(2, 1);
+    ra.connect_site(1, port);
+    ra.start();
+    restart_peer();
+  }
+  ~TcpPair() {
+    ra.stop();
+    if (rb) rb->stop();
+  }
+
+  void restart_peer() {
+    if (rb) rb->stop();
+    b.reset();
+    rb = std::make_unique<rt::ThreadRuntime>(2);
+    b = std::make_unique<SinkActor>(*rb, "b");
+    rb->add_actor(*b, 2, 1, rb->add_loop());
+    rb->add_remote(1, 0);
+    rb->listen(port);
+    rb->start();
+  }
+
+  void send_pings(std::uint32_t from, std::uint32_t n) {
+    ra.post(1, [this, from, n] {
+      for (std::uint32_t i = 0; i < n; ++i) ra.send(1, 2, ping(from + i));
+    });
+  }
+
+  // Parks B's only loop, fills the link past both socket buffers with
+  // 1 MiB frames, then stops B with them unread: B's kernel resets the
+  // connection while A still holds unsent frames.
+  void flood_then_stop_peer() {
+    rb->post(2, [] { std::this_thread::sleep_for(std::chrono::milliseconds(600)); });
+    std::this_thread::sleep_for(std::chrono::milliseconds(50));
+    const sim::MessagePtr big = big_propose(1 << 20);
+    ra.post(1, [this, big] {
+      for (int i = 0; i < 48; ++i) ra.send(1, 2, big);
+    });
+    std::this_thread::sleep_for(std::chrono::milliseconds(200));
+    rb->stop();
+  }
+
+  const std::uint16_t port;
+  rt::ThreadRuntime ra{1};
+  ProbeActor a{ra, "a"};
+  std::unique_ptr<rt::ThreadRuntime> rb;
+  std::unique_ptr<SinkActor> b;
+};
+
+TEST(ThreadRuntime, TwoLoopsInterleaveFifoToOneRemoteNode) {
+  constexpr std::uint16_t kPortA = 45163;
+  constexpr std::uint16_t kPortB = 45164;
+  constexpr std::uint32_t kFrames = 10000;
+  constexpr std::uint32_t kChunk = 100;
+  rt::ThreadRuntime rta(1);
+  rt::ThreadRuntime rtb(2);
+  ProbeActor a1(rta, "a1"), a2(rta, "a2");
+  SinkActor b(rtb, "b");
+  rta.add_actor(a1, 1, 0, rta.add_loop());
+  rta.add_actor(a2, 3, 0, rta.add_loop());
+  rta.add_remote(2, 1);
+  rta.listen(kPortA);
+  rta.connect_site(1, kPortB);
+  rtb.add_actor(b, 2, 1, rtb.add_loop());
+  rtb.add_remote(1, 0);
+  rtb.add_remote(3, 0);
+  rtb.listen(kPortB);
+  rtb.connect_site(0, kPortA);
+  rta.start();
+  rtb.start();
+
+  // Alternate chunks between the two loops so their frames interleave at
+  // the destination.
+  for (std::uint32_t base = 0; base < kFrames; base += kChunk) {
+    for (const NodeId from : {NodeId{1}, NodeId{3}}) {
+      rta.post(from, [&rta, from, base] {
+        for (std::uint32_t i = base; i < base + kChunk; ++i) {
+          rta.send(from, 2, ping(i));
+        }
+      });
+    }
+  }
+  ASSERT_TRUE(eventually([&] { return b.received().size() >= 2 * kFrames; }));
+  EXPECT_EQ(b.pings_from(1), iota_labels(0, kFrames));
+  EXPECT_EQ(b.pings_from(3), iota_labels(0, kFrames));
+  EXPECT_EQ(rta.frames_dropped(), 0u);
+  rta.stop();
+  rtb.stop();
+}
+
+TEST(ThreadRuntime, FrameLargerThanReadBufferRoundTrips) {
+  TcpPair pair(45165);
+  const sim::MessagePtr big = big_propose((1 << 20) + 12345);
+  pair.ra.post(1, [&pair, big] { pair.ra.send(1, 2, big); });
+  pair.send_pings(1, 1);  // a small frame right behind the big one
+  ASSERT_TRUE(eventually([&] { return pair.b->received().size() >= 2; }));
+  const auto got = pair.b->received();
+  const auto* sent = sim::msg_cast<zab::ProposeMsg>(big.get());
+  const auto* echo = sim::msg_cast<zab::ProposeMsg>(got[0].second.get());
+  ASSERT_NE(echo, nullptr);
+  EXPECT_EQ(got[0].first, 1);
+  EXPECT_EQ(echo->epoch, 3u);
+  ASSERT_EQ(echo->entries.size(), 1u);
+  EXPECT_EQ(echo->entries[0].zxid, 99u);
+  EXPECT_TRUE(echo->entries[0].payload == sent->entries[0].payload);
+  EXPECT_EQ(pair.b->pings_from(1), iota_labels(1, 1));
+}
+
+TEST(ThreadRuntime, PeerStopWhileSendingCountsLossesAndSenderSurvives) {
+  // The sender must not rely on SIGPIPE being ignored.
+  struct sigaction current {};
+  ASSERT_EQ(::sigaction(SIGPIPE, nullptr, &current), 0);
+  ASSERT_EQ(current.sa_handler, SIG_DFL);
+
+  TcpPair pair(45166);
+  pair.send_pings(0, 1);
+  ASSERT_TRUE(eventually([&] { return pair.b->received().size() == 1; }));
+  pair.flood_then_stop_peer();
+  // Keep sending into the dead link while nobody listens.
+  for (std::uint32_t i = 1; i <= 20; ++i) {
+    pair.send_pings(i, 1);
+    std::this_thread::sleep_for(std::chrono::milliseconds(5));
+  }
+  EXPECT_TRUE(eventually([&] { return pair.ra.frames_dropped() > 0; }));
+  // Still alive and serving: a loop round trip completes.
+  bool served = false;
+  pair.ra.call(1, [&] { served = true; });
+  EXPECT_TRUE(served);
+}
+
+TEST(ThreadRuntime, PeerRestartOnSamePortResumesDeliveryAfterCountedLoss) {
+  TcpPair pair(45167);
+  pair.send_pings(0, 1);
+  ASSERT_TRUE(eventually([&] { return pair.b->received().size() == 1; }));
+  pair.flood_then_stop_peer();
+  ASSERT_TRUE(eventually([&] { return pair.ra.frames_dropped() > 0; }));
+
+  pair.restart_peer();
+  pair.send_pings(100, 10);
+  ASSERT_TRUE(eventually([&] { return pair.b->received().size() >= 10; }));
+  EXPECT_EQ(pair.b->pings_from(1), iota_labels(100, 10));
+}
+
+std::size_t thread_count() {
+  std::size_t n = 0;
+  for ([[maybe_unused]] const auto& entry :
+       std::filesystem::directory_iterator("/proc/self/task")) {
+    ++n;
+  }
+  return n;
+}
+
+TEST(ThreadRuntime, StartAddsExactlyOneThreadPerLoop) {
+  rt::ThreadRuntime trt(5);
+  ProbeActor a(trt, "a"), b(trt, "b"), c(trt, "c");
+  trt.spawn(a, 0);
+  trt.spawn(b, 0);
+  trt.spawn(c, 0);
+  trt.add_remote(99, 1);
+  trt.listen(45168);
+  trt.connect_site(1, 45169);
+  trt.send(a.id(), 99, ping(1));  // an outbound link with a pending connect
+
+  const std::size_t before = thread_count();
+  trt.start();
+  bool served = false;
+  trt.call(a.id(), [&] { served = true; });
+  ASSERT_TRUE(served);
+  EXPECT_EQ(thread_count(), before + 3);
+  trt.stop();
+  EXPECT_EQ(thread_count(), before);
+}
+
+TEST(ThreadRuntime, SubMillisecondTimersFireInDeadlineOrderNeverEarly) {
+  rt::ThreadRuntime trt(6);
+  ProbeActor a(trt, "a");
+  trt.spawn(a, 0);
+  trt.start();
+  std::mutex mu;
+  std::vector<std::pair<Time, Time>> fired;  // (delay, elapsed at firing)
+  Time t0 = 0;
+  trt.call(a.id(), [&] {
+    t0 = trt.now();
+    for (const Time delay : {900, 300, 600}) {
+      a.set_timer(delay, [&, delay] {
+        std::lock_guard<std::mutex> lk(mu);
+        fired.push_back({delay, trt.now() - t0});
+      });
+    }
+  });
+  ASSERT_TRUE(eventually([&] {
+    std::lock_guard<std::mutex> lk(mu);
+    return fired.size() == 3;
+  }));
+  trt.stop();
+  ASSERT_EQ(fired.size(), 3u);
+  EXPECT_EQ(fired[0].first, 300);
+  EXPECT_EQ(fired[1].first, 600);
+  EXPECT_EQ(fired[2].first, 900);
+  for (const auto& [delay, elapsed] : fired) EXPECT_GE(elapsed, delay);
 }
 
 // --- end to end: a real (single-process) WanKeeper cluster ---
