@@ -214,7 +214,7 @@ BenchResult run_bench(bool quick) {
   }
   r.frames_dropped = trt.frames_dropped();
 
-  // Metrics live in per-thread registries on this runtime; fold them into
+  // Metrics live in per-loop registries on this runtime; fold them into
   // one deployment-wide view (obs::MetricsRegistry::merge_from).
   obs::MetricsRegistry all;
   trt.collect_metrics(all);

@@ -74,7 +74,8 @@ struct ClusterPlan {
 // Builds the brokers, peers, and clients of `local_sites` (empty = all
 // sites) on one ThreadRuntime, registers every other site's nodes as
 // remote, and wires the loopback TCP mesh. Each (broker, peer) pair shares
-// one event loop; each client gets its own.
+// one event loop; each client gets its own; all loops of a site share the
+// site's one thread.
 class HostedCluster {
  public:
   HostedCluster(ThreadRuntime& rt, ClusterConfig cfg,

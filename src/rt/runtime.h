@@ -79,9 +79,10 @@ class Runtime {
   // one; the thread runtime returns the calling loop's shard.
   virtual obs::Context& obs() = 0;
   // Crash/recovery fault-injection points. Armed points are a DES-only
-  // feature; the thread runtime returns a shared, never-armed instance.
+  // feature; the thread runtime returns the calling loop's never-armed
+  // instance.
   virtual sim::FaultPoints& faults() = 0;
-  // Seeded randomness. Deterministic on the DES; per-thread on the thread
+  // Seeded randomness. Deterministic on the DES; per-loop on the thread
   // runtime (seeded from the runtime seed, but interleaving is real).
   virtual Rng& rng() = 0;
 

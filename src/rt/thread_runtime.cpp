@@ -11,12 +11,11 @@
 #include <cerrno>
 #include <condition_variable>
 #include <cstring>
+#include <optional>
 #include <stdexcept>
 
 #include "common/logging.h"
-#include "obs/context.h"
 #include "rt/codec.h"
-#include "sim/faults.h"
 
 namespace wankeeper::rt {
 namespace {
@@ -52,15 +51,15 @@ std::size_t count_frames(const std::vector<std::uint8_t>& buf,
   return n;
 }
 
-// Sequential per-thread seeds: determinism of draws within a thread, not
-// across interleavings (which are real on this runtime anyway).
+// Sequential seeds for threads that run no loop: determinism of draws
+// within a thread, not across interleavings (which are real anyway).
 std::atomic<std::uint64_t> thread_counter{0};
 
 }  // namespace
 
 thread_local ThreadRuntime::Loop* ThreadRuntime::current_ = nullptr;
 
-ThreadRuntime::Loop::~Loop() {
+ThreadRuntime::Reactor::~Reactor() {
   if (wake.fd >= 0) ::close(wake.fd);
   if (epfd >= 0) ::close(epfd);
 }
@@ -79,9 +78,19 @@ Time ThreadRuntime::now() const {
 std::size_t ThreadRuntime::add_loop() {
   std::lock_guard<std::mutex> lk(route_mu_);
   if (started_) throw std::logic_error("add_loop after start");
-  loops_.push_back(std::make_unique<Loop>());
-  loops_.back()->owner = this;
-  return loops_.size() - 1;
+  const std::size_t index = loops_.size();
+  loops_.push_back(
+      std::make_unique<Loop>(this, index, seed_ + 0x9e37 * (1 + index)));
+  return index;
+}
+
+ThreadRuntime::Reactor& ThreadRuntime::reactor_for(SiteId site) {
+  for (auto& r : reactors_) {
+    if (r->site == site) return *r;
+  }
+  reactors_.push_back(std::make_unique<Reactor>());
+  reactors_.back()->site = site;
+  return *reactors_.back();
 }
 
 void ThreadRuntime::add_actor(sim::Actor& actor, NodeId id, SiteId site,
@@ -94,8 +103,13 @@ void ThreadRuntime::add_actor(sim::Actor& actor, NodeId id, SiteId site,
   }
   actor.id_ = id;
   actor.registry_ = this;
-  local_[id] = LocalNode{&actor, loops_[loop].get(), loop, site};
-  loops_[loop]->actors.push_back(&actor);
+  Loop& l = *loops_[loop];
+  if (l.reactor == nullptr) {
+    l.reactor = &reactor_for(site);
+    l.reactor->loops.push_back(&l);
+  }
+  local_[id] = LocalNode{&actor, &l, site};
+  l.actors.push_back(&actor);
 }
 
 void ThreadRuntime::add_remote(NodeId id, SiteId site) {
@@ -155,32 +169,40 @@ void ThreadRuntime::start() {
       throw std::logic_error("listen() needs a loop to serve it");
     }
     started_ = true;
+    for (auto& loop : loops_) {
+      if (loop->reactor != nullptr) continue;  // loops with no actor
+      loop->reactor = &reactor_for(kNoSite);
+      loop->reactor->loops.push_back(loop.get());
+    }
   }
-  for (auto& loop : loops_) {
-    loop->epfd = ::epoll_create1(EPOLL_CLOEXEC);
-    loop->wake.fd = ::eventfd(0, EFD_NONBLOCK | EFD_CLOEXEC);
-    if (loop->epfd < 0 || loop->wake.fd < 0) {
+  for (auto& r : reactors_) {
+    r->epfd = ::epoll_create1(EPOLL_CLOEXEC);
+    r->wake.fd = ::eventfd(0, EFD_NONBLOCK | EFD_CLOEXEC);
+    if (r->epfd < 0 || r->wake.fd < 0) {
       throw std::runtime_error("epoll/eventfd setup failed");
     }
     // Edge-triggered and never read: every write is one fresh edge.
-    watch(*loop, loop->wake, EPOLLIN | EPOLLET, true);
+    epoll_event ev{};
+    ev.events = EPOLLIN | EPOLLET;
+    ev.data.ptr = &r->wake;
+    ::epoll_ctl(r->epfd, EPOLL_CTL_ADD, r->wake.fd, &ev);
   }
   for (auto& l : listeners_) watch(*loops_.front(), *l, EPOLLIN, true);
   running_.store(true);
-  for (auto& loop : loops_) {
-    loop->thread = std::thread([this, l = loop.get()] { run_loop(*l); });
+  for (auto& r : reactors_) {
+    r->thread = std::thread([this, r = r.get()] { run_reactor(*r); });
   }
 }
 
 void ThreadRuntime::stop() {
   if (running_.exchange(false)) {
-    for (auto& loop : loops_) ring(*loop);
-    for (auto& loop : loops_) {
-      if (loop->thread.joinable()) loop->thread.join();
+    for (auto& r : reactors_) ring(*r);
+    for (auto& r : reactors_) {
+      if (r->thread.joinable()) r->thread.join();
     }
     // Every loop has closed its own sockets; what is left was in transit
-    // between loops. The reactor fds live as long as their Loop, so a late
-    // post() from a foreign thread never writes to a recycled fd.
+    // between loops. The reactor fds live as long as the runtime, so a
+    // late post() from a foreign thread never writes to a recycled fd.
     for (auto& loop : loops_) {
       for (const int fd : loop->adopted) ::close(fd);
       loop->adopted.clear();
@@ -196,21 +218,28 @@ ThreadRuntime::Loop* ThreadRuntime::loop_of(NodeId node) const {
   return it == local_.end() ? nullptr : it->second.loop;
 }
 
-template <class F>
-void ThreadRuntime::push(Loop& loop, F&& add) {
-  bool wake;
-  {
-    std::lock_guard<std::mutex> lk(loop.mu);
-    add();
-    wake = loop.parked;
-    loop.parked = false;
-  }
-  if (wake) ring(loop);
+ThreadRuntime::Loop* ThreadRuntime::current() const {
+  Loop* loop = current_;
+  return loop != nullptr && loop->owner == this ? loop : nullptr;
 }
 
-void ThreadRuntime::ring(Loop& loop) {
+template <class F>
+void ThreadRuntime::push(Loop& loop, F&& add) {
+  Reactor& r = *loop.reactor;
+  bool wake;
+  {
+    std::lock_guard<std::mutex> lk(r.mu);
+    add();
+    wake = r.parked;
+    r.parked = false;
+  }
+  if (wake) ring(r);
+}
+
+void ThreadRuntime::ring(Reactor& reactor) {
   const std::uint64_t one = 1;
-  [[maybe_unused]] const ssize_t w = ::write(loop.wake.fd, &one, sizeof(one));
+  [[maybe_unused]] const ssize_t w =
+      ::write(reactor.wake.fd, &one, sizeof(one));
 }
 
 std::uint64_t ThreadRuntime::add_timer(Loop& loop, Time delay,
@@ -227,19 +256,10 @@ std::uint64_t ThreadRuntime::add_timer(Loop& loop, Time delay,
 
 TimerId ThreadRuntime::schedule(NodeId home, Time delay,
                                 std::function<void()> fn) {
-  Loop* loop = nullptr;
-  std::size_t idx = 0;
-  {
-    std::lock_guard<std::mutex> lk(route_mu_);
-    const auto it = local_.find(home);
-    if (it == local_.end()) {
-      throw std::logic_error("schedule: unknown home node");
-    }
-    loop = it->second.loop;
-    idx = it->second.loop_idx;
-  }
+  Loop* loop = loop_of(home);
+  if (loop == nullptr) throw std::logic_error("schedule: unknown home node");
   const std::uint64_t seq = add_timer(*loop, delay, std::move(fn));
-  return (static_cast<TimerId>(idx + 1) << kTimerLoopShift) | seq;
+  return (static_cast<TimerId>(loop->index + 1) << kTimerLoopShift) | seq;
 }
 
 void ThreadRuntime::cancel(TimerId id) {
@@ -252,7 +272,8 @@ void ThreadRuntime::cancel(TimerId id) {
     if (idx >= loops_.size()) return;
     loop = loops_[idx].get();
   }
-  std::lock_guard<std::mutex> lk(loop->mu);
+  if (loop->reactor == nullptr) return;  // no timer was ever armed there
+  std::lock_guard<std::mutex> lk(loop->reactor->mu);
   const auto it = loop->deadline_of.find(seq);
   if (it == loop->deadline_of.end()) return;
   loop->timers.erase(std::make_pair(it->second, seq));
@@ -260,8 +281,8 @@ void ThreadRuntime::cancel(TimerId id) {
 }
 
 void ThreadRuntime::send(NodeId from, NodeId to, sim::MessagePtr msg) {
-  Loop* cur = current_;
-  if (cur == nullptr || cur->owner != this) {
+  Loop* cur = current();
+  if (cur == nullptr) {
     // The sending loop owns the link, so hand the send to `from`'s loop.
     Loop* home = loop_of(from);
     if (home == nullptr) {
@@ -301,16 +322,19 @@ SiteId ThreadRuntime::site_of(NodeId node) const {
 }
 
 obs::Context& ThreadRuntime::obs() {
+  if (Loop* loop = current()) return loop->obs;
   thread_local obs::Context ctx;
   return ctx;
 }
 
 sim::FaultPoints& ThreadRuntime::faults() {
+  if (Loop* loop = current()) return loop->faults;
   thread_local sim::FaultPoints points;
   return points;
 }
 
 Rng& ThreadRuntime::rng() {
+  if (Loop* loop = current()) return loop->rng;
   thread_local Rng r(seed_ + 0x9e37 * (1 + thread_counter.fetch_add(1)));
   return r;
 }
@@ -327,14 +351,22 @@ void ThreadRuntime::post(NodeId node, std::function<void()> fn) {
 }
 
 void ThreadRuntime::call(NodeId node, std::function<void()> fn) {
+  Loop* loop = loop_of(node);
+  if (loop == nullptr) throw std::logic_error("call: unknown node");
+  if (Loop* cur = current(); cur != nullptr && cur->reactor == loop->reactor) {
+    // Waiting here would stop the very thread that has to run fn.
+    throw std::logic_error("call: target loop runs on the calling thread");
+  }
   std::mutex mu;
   std::condition_variable cv;
   bool done = false;
-  post(node, [&] {
-    fn();
-    std::lock_guard<std::mutex> lk(mu);
-    done = true;
-    cv.notify_all();
+  push(*loop, [&] {
+    loop->posts.push_back([&] {
+      fn();
+      std::lock_guard<std::mutex> lk(mu);
+      done = true;
+      cv.notify_all();
+    });
   });
   std::unique_lock<std::mutex> lk(mu);
   cv.wait(lk, [&] { return done; });
@@ -342,15 +374,19 @@ void ThreadRuntime::call(NodeId node, std::function<void()> fn) {
 
 void ThreadRuntime::collect_metrics(obs::MetricsRegistry& into) {
   if (!running_.load()) return;
+  if (current() != nullptr) {
+    throw std::logic_error("collect_metrics from a loop thread");
+  }
   std::mutex mu;
   std::condition_variable cv;
   std::size_t remaining = loops_.size();
   for (auto& loop : loops_) {
-    push(*loop, [&] {
-      loop->posts.push_back([this, &into, &mu, &cv, &remaining] {
-        // Runs on the loop thread: obs() resolves to ITS registry.
+    Loop* l = loop.get();
+    push(*l, [&] {
+      l->posts.push_back([l, &into, &mu, &cv, &remaining] {
+        // Runs on l's turn, the only code that touches its shard.
         std::lock_guard<std::mutex> lk2(mu);
-        into.merge_from(obs().metrics);
+        into.merge_from(l->obs.metrics);
         if (--remaining == 0) cv.notify_all();
       });
     });
@@ -386,33 +422,38 @@ void ThreadRuntime::deliver(Loop& loop, NodeId from, NodeId to,
   }
 }
 
-// One turn: flush what the last turn's handlers sent, park in epoll until
-// a socket, a producer or the next timer needs the loop, then serve them.
-void ThreadRuntime::run_loop(Loop& loop) {
-  current_ = &loop;
-  for (sim::Actor* actor : loop.actors) actor->start();
+// One reactor turn: park in epoll until a socket, a producer or the next
+// timer of any of its loops needs the thread, then give each loop its turn.
+void ThreadRuntime::run_reactor(Reactor& r) {
+  for (Loop* loop : r.loops) {
+    current_ = loop;
+    for (sim::Actor* actor : loop->actors) actor->start();
+  }
   epoll_event events[kMaxEvents];
-  std::deque<std::function<void()>> posts;
-  std::deque<Delivery> inbox;
-  std::vector<int> adopted;
+  Ready ready[kMaxEvents];
   while (running_.load()) {
-    for (Link* link : loop.dirty) {
-      link->dirty = false;
-      flush(loop, *link);
-    }
-    loop.dirty.clear();
-
     timespec wait{};
     const timespec* timeout = &wait;
     {
-      std::lock_guard<std::mutex> lk(loop.mu);
-      if (loop.posts.empty() && loop.inbox.empty() && loop.adopted.empty()) {
-        if (loop.timers.empty()) {
+      std::lock_guard<std::mutex> lk(r.mu);
+      bool idle = true;
+      std::optional<Time> next;  // earliest timer deadline
+      for (const Loop* loop : r.loops) {
+        if (!loop->posts.empty() || !loop->inbox.empty() ||
+            !loop->adopted.empty()) {
+          idle = false;
+          break;
+        }
+        if (!loop->timers.empty()) {
+          const Time t = loop->timers.begin()->first.first;
+          next = next ? std::min(*next, t) : t;
+        }
+      }
+      if (idle) {
+        if (!next) {
           timeout = nullptr;
         } else {
-          const auto left = start_tp_ +
-                            std::chrono::microseconds(
-                                loop.timers.begin()->first.first) -
+          const auto left = start_tp_ + std::chrono::microseconds(*next) -
                             std::chrono::steady_clock::now();
           const auto ns =
               std::chrono::duration_cast<std::chrono::nanoseconds>(left)
@@ -422,50 +463,85 @@ void ThreadRuntime::run_loop(Loop& loop) {
             wait.tv_nsec = static_cast<long>(ns % 1000000000);
           }
         }
-        loop.parked = timeout == nullptr || wait.tv_sec > 0 || wait.tv_nsec > 0;
+        r.parked = timeout == nullptr || wait.tv_sec > 0 || wait.tv_nsec > 0;
       }
     }
-    const int n = ::epoll_pwait2(loop.epfd, events, kMaxEvents, timeout,
-                                 nullptr);
+    const int n = ::epoll_pwait2(r.epfd, events, kMaxEvents, timeout, nullptr);
     {
-      std::lock_guard<std::mutex> lk(loop.mu);
-      loop.parked = false;
-      posts.swap(loop.posts);
-      inbox.swap(loop.inbox);
-      adopted.swap(loop.adopted);
+      std::lock_guard<std::mutex> lk(r.mu);
+      r.parked = false;
     }
     for (int i = 0; i < n; ++i) {
-      on_ready(loop, *static_cast<Io*>(events[i].data.ptr), events[i].events);
+      Io* io = static_cast<Io*>(events[i].data.ptr);
+      ready[i] = Ready{io->loop, io, events[i].events};
     }
-    for (const int fd : adopted) adopt(loop, fd);
-    adopted.clear();
-    for (auto& fn : posts) fn();
-    posts.clear();
-    for (const Delivery& d : inbox) {
-      deliver(loop, d.from, d.to, d.bytes.data(), d.bytes.size());
+    auto t0 = std::chrono::steady_clock::now();
+    for (Loop* loop : r.loops) {
+      run_turn(*loop, ready, n);
+      const auto t1 = std::chrono::steady_clock::now();
+      loop->busy_ns += std::chrono::duration_cast<std::chrono::nanoseconds>(
+                           t1 - t0)
+                           .count();
+      t0 = t1;
+      if (loop->busy_ns >= 1000) {
+        loop->busy_us.at(loop->obs.metrics, "rt.loop_busy_us", r.site)
+            .inc(static_cast<std::uint64_t>(loop->busy_ns / 1000));
+        loop->busy_ns %= 1000;
+      }
     }
-    inbox.clear();
-    run_due_timers(loop);
   }
-  // Unblock any call() waiters that raced shutdown.
-  for (;;) {
-    {
-      std::lock_guard<std::mutex> lk(loop.mu);
-      posts.swap(loop.posts);
+  // Unblock any call() waiters that raced shutdown, on every loop.
+  for (bool more = true; more;) {
+    more = false;
+    for (Loop* loop : r.loops) {
+      current_ = loop;
+      {
+        std::lock_guard<std::mutex> lk(r.mu);
+        loop->run_posts.swap(loop->posts);
+      }
+      more = more || !loop->run_posts.empty();
+      for (auto& fn : loop->run_posts) fn();
+      loop->run_posts.clear();
     }
-    if (posts.empty()) break;
-    for (auto& fn : posts) fn();
-    posts.clear();
   }
-  for (auto& [to, link] : loop.links) {
-    (void)to;
-    if (link->fd >= 0) ::close(link->fd);
-  }
-  for (auto& [fd, in] : loop.inbound) {
-    (void)in;
-    ::close(fd);
+  for (Loop* loop : r.loops) {
+    for (auto& [to, link] : loop->links) {
+      (void)to;
+      if (link->fd >= 0) ::close(link->fd);
+    }
+    for (auto& [fd, in] : loop->inbound) {
+      (void)in;
+      ::close(fd);
+    }
   }
   current_ = nullptr;
+}
+
+void ThreadRuntime::run_turn(Loop& loop, const Ready* ready, int n) {
+  current_ = &loop;
+  for (int i = 0; i < n; ++i) {
+    if (ready[i].loop == &loop) on_ready(loop, *ready[i].io, ready[i].events);
+  }
+  {
+    std::lock_guard<std::mutex> lk(loop.reactor->mu);
+    loop.run_posts.swap(loop.posts);
+    loop.run_inbox.swap(loop.inbox);
+    loop.run_adopted.swap(loop.adopted);
+  }
+  for (const int fd : loop.run_adopted) adopt(loop, fd);
+  loop.run_adopted.clear();
+  for (auto& fn : loop.run_posts) fn();
+  loop.run_posts.clear();
+  for (const Delivery& d : loop.run_inbox) {
+    deliver(loop, d.from, d.to, d.bytes.data(), d.bytes.size());
+  }
+  loop.run_inbox.clear();
+  run_due_timers(loop);
+  for (Link* link : loop.dirty) {
+    link->dirty = false;
+    flush(loop, *link);
+  }
+  loop.dirty.clear();
 }
 
 void ThreadRuntime::run_due_timers(Loop& loop) {
@@ -473,7 +549,7 @@ void ThreadRuntime::run_due_timers(Loop& loop) {
   for (;;) {
     std::function<void()> fn;
     {
-      std::lock_guard<std::mutex> lk(loop.mu);
+      std::lock_guard<std::mutex> lk(loop.reactor->mu);
       if (loop.timers.empty() || loop.timers.begin()->first.first > t) return;
       auto it = loop.timers.begin();
       loop.deadline_of.erase(it->first.second);
@@ -523,10 +599,12 @@ void ThreadRuntime::on_ready(Loop& loop, Io& io, std::uint32_t events) {
 }
 
 void ThreadRuntime::watch(Loop& loop, Io& io, std::uint32_t events, bool add) {
+  io.loop = &loop;
   epoll_event ev{};
   ev.events = events;
   ev.data.ptr = &io;
-  ::epoll_ctl(loop.epfd, add ? EPOLL_CTL_ADD : EPOLL_CTL_MOD, io.fd, &ev);
+  ::epoll_ctl(loop.reactor->epfd, add ? EPOLL_CTL_ADD : EPOLL_CTL_MOD, io.fd,
+              &ev);
 }
 
 // --- listening side ---
@@ -559,7 +637,7 @@ void ThreadRuntime::read_hello(Loop& loop, Inbound& in) {
   Loop* dest = load_le32(in.buf.data()) == kHelloMagic
                    ? loop_of(static_cast<NodeId>(load_le32(in.buf.data() + 4)))
                    : nullptr;
-  ::epoll_ctl(loop.epfd, EPOLL_CTL_DEL, fd, nullptr);
+  ::epoll_ctl(loop.reactor->epfd, EPOLL_CTL_DEL, fd, nullptr);
   loop.inbound.erase(fd);
   if (dest == nullptr) {
     ::close(fd);

@@ -6,10 +6,29 @@
 // decoded on the destination loop, so no mutable state ever crosses a node
 // boundary by pointer.
 //
-// Threads: exactly one per loop, nothing else. Each loop is an epoll
-// reactor over an edge-triggered eventfd (written by another thread only
-// while the loop is parked), its timers (µs deadlines via epoll_pwait2),
-// and the sockets it owns.
+// Threads: exactly one per site, nothing else. At start() the loops whose
+// actors belong to one site (a loop's site is its first actor's; loops
+// with no actor share one extra thread) are grouped onto one reactor: a
+// thread with one epoll set, one edge-triggered wake eventfd (written by
+// another thread only while the reactor is parked), and the sockets of all
+// its loops. Each reactor turn parks once in epoll_pwait2 (µs timer
+// deadlines), then gives every loop its own turn in round-robin: that
+// loop's socket events, adopted fds, posts, deliveries, due timers and
+// link flush. A loop takes only what was queued when its turn began, so a
+// loop that floods itself cannot starve a sibling. A hand-off between two
+// loops of one site is a queue push under the reactor's mutex: no eventfd
+// write, no context switch.
+//
+// Loops remain the unit of isolation: each keeps its own inbox, timers,
+// TimerId space and links, and its own obs::Context, Rng and FaultPoints
+// shard, which obs()/rng()/faults() return while one of its handlers runs.
+// Each loop adds the steady-clock time of its turns to `rt.loop_busy_us`
+// in its shard, so a shared site thread's CPU can still be split per role.
+//
+// call() blocks the calling thread until the target loop has run fn, so it
+// may not target a loop of the calling reactor (including the caller's own
+// loop): that throws std::logic_error instead of deadlocking. post() works
+// from anywhere.
 //
 // Cross-process topology: a node is either local (registered with
 // add_actor) or remote (registered with add_remote, reachable through the
@@ -41,8 +60,10 @@
 #include <vector>
 
 #include "common/random.h"
+#include "obs/context.h"
 #include "rt/runtime.h"
 #include "sim/actor.h"
+#include "sim/faults.h"
 
 namespace wankeeper::rt {
 
@@ -58,7 +79,8 @@ class ThreadRuntime final : public Runtime, public sim::ActorRegistry {
 
   // A new event loop; returns its index for add_actor.
   std::size_t add_loop();
-  // Register a local actor under an explicit, cluster-wide-agreed id.
+  // Register a local actor under an explicit, cluster-wide-agreed id. The
+  // loop's first actor decides which site's thread runs it.
   void add_actor(sim::Actor& actor, NodeId id, SiteId site, std::size_t loop);
   // Declare a node that lives in another process; sends to it are framed
   // over a TCP link to the listener of `site`.
@@ -68,25 +90,27 @@ class ThreadRuntime final : public Runtime, public sim::ActorRegistry {
   // Route frames addressed to `site`'s nodes to 127.0.0.1:port.
   void connect_site(SiteId site, std::uint16_t port);
 
-  // Launches one thread per loop. Each loop first runs its actors' start()
-  // in registration order, then serves timers, deliveries and sockets.
+  // Launches one reactor thread per site. Each first runs its loops'
+  // actors' start() in registration order, then serves timers, deliveries
+  // and sockets.
   void start();
-  // Stops every loop and joins it; idempotent, also run by ~.
+  // Stops every reactor and joins it; idempotent, also run by ~.
   // Registered actors must outlive this call.
   void stop();
 
   // Run fn on the loop that owns `node` (how non-loop threads poke actor
   // state: client ops, crash/restart, metric sampling). call() waits for
-  // completion and rethrows nothing — fn must not throw.
+  // completion and rethrows nothing — fn must not throw. call() from a
+  // thread that runs the target's reactor throws std::logic_error.
   void post(NodeId node, std::function<void()> fn);
   void call(NodeId node, std::function<void()> fn);
 
   std::uint64_t frames_dropped() const { return frames_dropped_.load(); }
 
-  // Fold every event-loop thread's thread-local metrics registry into
-  // `into` (obs() is per-thread on this runtime, so no single registry has
-  // the whole picture). Runs a task on each loop and waits for all of
-  // them; only valid between start() and stop().
+  // Fold every loop's metrics shard into `into` (obs() is per-loop on this
+  // runtime, so no single registry has the whole picture). Runs a task on
+  // each loop and waits for all of them; only valid between start() and
+  // stop(), from a thread that runs no reactor of this runtime.
   void collect_metrics(obs::MetricsRegistry& into);
 
   // --- rt::Runtime ---
@@ -96,18 +120,21 @@ class ThreadRuntime final : public Runtime, public sim::ActorRegistry {
   // Creates a dedicated loop and auto-assigns an id (ids from 1<<20, clear
   // of any cluster plan). Pre-start only.
   NodeId spawn(sim::Actor& actor, SiteId site) override;
-  // On a loop thread the frame leaves from that loop; from any other
+  // On a loop's turn the frame leaves from that loop; from any other
   // thread the send is posted to `from`'s loop.
   void send(NodeId from, NodeId to, sim::MessagePtr msg) override;
   SiteId site_of(NodeId node) const override;
-  obs::Context& obs() override;          // per-thread shard
-  sim::FaultPoints& faults() override;   // per-thread, never armed
-  Rng& rng() override;                   // per-thread, seeded off `seed`
+  // The running loop's shard; a thread outside every loop gets its own.
+  obs::Context& obs() override;
+  sim::FaultPoints& faults() override;   // per loop, never armed
+  Rng& rng() override;                   // per loop, seeded off `seed`
 
   // --- sim::ActorRegistry ---
   void forget_actor(NodeId node) override;
 
  private:
+  struct Loop;
+
   struct Delivery {
     NodeId from = kNoNode;
     NodeId to = kNoNode;
@@ -119,6 +146,7 @@ class ThreadRuntime final : public Runtime, public sim::ActorRegistry {
     enum class Kind { kWake, kListen, kHello, kInbound, kLink };
     Kind kind;
     int fd = -1;
+    Loop* loop = nullptr;  // whose turn serves it; null for the wake fd
   };
 
   // Accepted socket: waiting for its hello on the listening loop (kHello),
@@ -129,9 +157,9 @@ class ThreadRuntime final : public Runtime, public sim::ActorRegistry {
   };
 
   // Outbound link from one loop to one remote node; only that loop's
-  // thread touches it. `out` holds whole frames; [0, sent) already went
-  // to the socket, and `head` is the start of the first frame not yet
-  // fully sent.
+  // turns touch it. `out` holds whole frames; [0, sent) already went to
+  // the socket, and `head` is the start of the first frame not yet fully
+  // sent.
   struct Link : Io {
     NodeId to = kNoNode;
     std::uint16_t port = 0;
@@ -144,15 +172,30 @@ class ThreadRuntime final : public Runtime, public sim::ActorRegistry {
     std::size_t sent = 0;
   };
 
-  struct Loop {
-    ~Loop();  // closes the reactor fds
+  // One thread serving the loops of one site.
+  struct Reactor {
+    ~Reactor();  // closes the epoll set and the eventfd
 
-    ThreadRuntime* owner = nullptr;
+    SiteId site = kNoSite;
     std::thread thread;
     int epfd = -1;
     Io wake{Io::Kind::kWake};  // eventfd
 
-    std::mutex mu;  // guards the members down to `parked`
+    std::mutex mu;        // guards `parked` and every loop's queued work
+    bool parked = false;  // blocked in epoll; producers write `wake`
+
+    std::vector<Loop*> loops;  // round-robin order
+  };
+
+  struct Loop {
+    Loop(ThreadRuntime* owner, std::size_t index, std::uint64_t seed)
+        : owner(owner), index(index), rng(seed) {}
+
+    ThreadRuntime* const owner;
+    const std::size_t index;
+    Reactor* reactor = nullptr;  // set by the first add_actor, or start()
+
+    // Guarded by reactor->mu.
     // (absolute deadline, seq) -> callback; deadline_of mirrors it so
     // cancel() is a lookup, not a scan.
     std::map<std::pair<Time, std::uint64_t>, std::function<void()>> timers;
@@ -161,30 +204,48 @@ class ThreadRuntime final : public Runtime, public sim::ActorRegistry {
     std::deque<Delivery> inbox;
     std::deque<std::function<void()>> posts;
     std::vector<int> adopted;  // accepted fds handed over after their hello
-    bool parked = false;       // blocked in epoll; producers write `wake`
 
-    // Loop-thread only.
+    // The reactor thread only.
     std::vector<sim::Actor*> actors;  // start() order
     std::unordered_map<NodeId, std::unique_ptr<Link>> links;
     std::vector<Link*> dirty;
     std::unordered_map<int, std::unique_ptr<Inbound>> inbound;  // by fd
+    // This turn's share of the queues above, swapped out under the mutex.
+    std::deque<Delivery> run_inbox;
+    std::deque<std::function<void()>> run_posts;
+    std::vector<int> run_adopted;
+    obs::Context obs;
+    sim::FaultPoints faults;
+    Rng rng;
+    obs::CachedCounter busy_us;
+    std::int64_t busy_ns = 0;  // turn time not yet added to busy_us
+  };
+
+  // A socket event, tagged with its loop before any handler can free it.
+  struct Ready {
+    Loop* loop;
+    Io* io;
+    std::uint32_t events;
   };
 
   struct LocalNode {
     sim::Actor* actor = nullptr;
     Loop* loop = nullptr;
-    std::size_t loop_idx = 0;
     SiteId site = kNoSite;
   };
 
-  void run_loop(Loop& loop);
+  void run_reactor(Reactor& reactor);
+  // One loop's turn: its entries of `ready`, then whatever was queued for
+  // it when the turn began.
+  void run_turn(Loop& loop, const Ready* ready, int n);
   void run_due_timers(Loop& loop);
   void on_ready(Loop& loop, Io& io, std::uint32_t events);
   std::uint64_t add_timer(Loop& loop, Time delay, std::function<void()> fn);
-  // Queue under loop.mu, then write the eventfd iff the loop was parked.
+  // Queue under the reactor's mutex, then write its eventfd iff it was
+  // parked.
   template <class F>
   void push(Loop& loop, F&& add);
-  static void ring(Loop& loop);  // one eventfd write
+  static void ring(Reactor& reactor);  // one eventfd write
   void deliver(Loop& loop, NodeId from, NodeId to, const std::uint8_t* data,
                std::size_t size);
 
@@ -211,6 +272,9 @@ class ThreadRuntime final : public Runtime, public sim::ActorRegistry {
   void set_want_out(Loop& loop, Link& link, bool on);
 
   Loop* loop_of(NodeId node) const;
+  // The loop whose turn is running on this thread, if it is one of ours.
+  Loop* current() const;
+  Reactor& reactor_for(SiteId site);  // under route_mu_, pre-start
 
   static thread_local Loop* current_;
 
@@ -222,6 +286,7 @@ class ThreadRuntime final : public Runtime, public sim::ActorRegistry {
 
   mutable std::mutex route_mu_;
   std::vector<std::unique_ptr<Loop>> loops_;
+  std::vector<std::unique_ptr<Reactor>> reactors_;
   std::unordered_map<NodeId, LocalNode> local_;
   std::unordered_map<NodeId, SiteId> remote_site_;
   std::map<SiteId, std::uint16_t> site_ports_;

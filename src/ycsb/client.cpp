@@ -23,11 +23,10 @@ void Driver::issue_next() {
     return;
   }
   ++issued_;
-  issue(stream_.next());
+  issue(stream_.next(), client_.sim().now());
 }
 
-void Driver::issue(const OpStream::Op& op) {
-  const Time issued_at = client_.sim().now();
+void Driver::issue(const OpStream::Op& op, Time issued_at) {
   const std::string path = mapper_.path_of(op.rank);
   auto cb = [this, op, issued_at](const zk::ClientResult& r) {
     on_result(op, issued_at, r);
@@ -45,7 +44,7 @@ void Driver::on_result(const OpStream::Op& op, Time issued_at,
   if (result.rc == store::Rc::kUnavailable) {
     ++metrics_.retries;
     reg.counter("ycsb.retries").inc();
-    issue(op);  // transient: leadership change or lost forward
+    issue(op, issued_at);  // transient: leadership change or lost forward
     return;
   }
   const Time latency = client_.sim().now() - issued_at;

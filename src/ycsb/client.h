@@ -30,7 +30,9 @@ class Driver {
 
  private:
   void issue_next();
-  void issue(const OpStream::Op& op);
+  // `issued_at` is the op's first issue time: a retry keeps it, so the
+  // recorded latency includes the failed attempts.
+  void issue(const OpStream::Op& op, Time issued_at);
   void on_result(const OpStream::Op& op, Time issued_at,
                  const zk::ClientResult& result);
 

@@ -12,7 +12,9 @@
 #include "sim/network.h"
 #include "sim/simulator.h"
 #include "wankeeper/deployment.h"
+#include "ycsb/client.h"
 #include "ycsb/runner.h"
+#include "zk/messages.h"
 
 namespace wankeeper {
 namespace {
@@ -151,6 +153,62 @@ TEST(YcsbRunner, HotStartOutperformsColdStart) {
     return run_experiment(cfg).total_throughput;
   };
   EXPECT_GT(run(true), run(false));
+}
+
+// Answers every data request after `delay`, with kUnavailable for the
+// first `refusals` of them and kOk after that.
+class RefusingServer : public sim::Actor {
+ public:
+  RefusingServer(sim::Simulator& sim, Time delay, int refusals)
+      : Actor(sim, "refusing"), delay_(delay), refusals_(refusals) {}
+
+  void on_message(NodeId from, const sim::MessagePtr& msg) override {
+    const auto* req = sim::msg_cast<zk::ClientRequest>(msg.get());
+    if (req == nullptr || req->op.op == zk::OpCode::kPing) return;
+    zk::ClientReply reply;
+    reply.session = req->session;
+    reply.xid = req->xid;
+    reply.op = req->op.op;
+    const bool data = req->op.op != zk::OpCode::kCreateSession;
+    if (data && refusals_ > 0) {
+      --refusals_;
+      reply.rc = store::Rc::kUnavailable;
+    }
+    set_timer(delay_, [this, from, reply] {
+      rt().send(id(), from, sim::make_message<zk::ClientReply>(reply));
+    });
+  }
+
+ private:
+  const Time delay_;
+  int refusals_;
+};
+
+TEST(YcsbDriver, RetryKeepsTheFirstIssueTime) {
+  constexpr Time kDelay = 10 * kMillisecond;
+  sim::Simulator sim;
+  sim::Network net(sim, sim::LatencyModel(1, 0, 0, 0.0));
+  RefusingServer server(sim, kDelay, /*refusals=*/2);
+  zk::Client client(sim, "client", 1);
+  net.add_node(server, 0);
+  net.add_node(client, 0);
+  client.connect(server.id());
+  sim.run_for(kSecond);
+
+  WorkloadSpec spec;
+  spec.record_count = 1;
+  spec.op_count = 1;
+  spec.write_fraction = 1.0;
+  ClientMetrics metrics;
+  Driver driver(client, spec, KeyMapper("/r", "c", 0.0, 1), metrics);
+  driver.start();
+  sim.run_for(kSecond);
+
+  ASSERT_TRUE(driver.done());
+  EXPECT_EQ(metrics.retries, 2u);
+  ASSERT_EQ(metrics.write_latency.count(), 1u);
+  // Three attempts, each answered after kDelay: the op took all three.
+  EXPECT_GE(metrics.write_latency.max_us(), 3 * kDelay);
 }
 
 // ------------------------------------------------------------ bookkeeper

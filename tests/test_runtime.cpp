@@ -18,11 +18,14 @@
 #include <atomic>
 #include <chrono>
 #include <filesystem>
+#include <functional>
 #include <memory>
 #include <mutex>
+#include <stdexcept>
 #include <thread>
 #include <vector>
 
+#include "obs/context.h"
 #include "obs/metrics.h"
 #include "rt/cluster.h"
 #include "rt/codec.h"
@@ -647,15 +650,16 @@ std::size_t thread_count() {
   return n;
 }
 
-TEST(ThreadRuntime, StartAddsExactlyOneThreadPerLoop) {
+TEST(ThreadRuntime, StartAddsExactlyOneThreadPerSite) {
   rt::ThreadRuntime trt(5);
-  ProbeActor a(trt, "a"), b(trt, "b"), c(trt, "c");
+  ProbeActor a(trt, "a"), b(trt, "b"), c(trt, "c"), d(trt, "d");
   trt.spawn(a, 0);
   trt.spawn(b, 0);
   trt.spawn(c, 0);
-  trt.add_remote(99, 1);
+  trt.spawn(d, 1);
+  trt.add_remote(99, 2);
   trt.listen(45168);
-  trt.connect_site(1, 45169);
+  trt.connect_site(2, 45169);
   trt.send(a.id(), 99, ping(1));  // an outbound link with a pending connect
 
   const std::size_t before = thread_count();
@@ -663,9 +667,167 @@ TEST(ThreadRuntime, StartAddsExactlyOneThreadPerLoop) {
   bool served = false;
   trt.call(a.id(), [&] { served = true; });
   ASSERT_TRUE(served);
-  EXPECT_EQ(thread_count(), before + 3);
+  EXPECT_EQ(thread_count(), before + 2);
   trt.stop();
   EXPECT_EQ(thread_count(), before);
+}
+
+// --- loops that share one site thread ---
+
+TEST(ThreadRuntime, SameSiteLoopsExchangeFifoPerSender) {
+  constexpr std::uint32_t kFrames = 10000;
+  constexpr std::uint32_t kChunk = 100;
+  rt::ThreadRuntime trt(8);
+  SinkActor x(trt, "x"), y(trt, "y");
+  trt.spawn(x, 0);
+  trt.spawn(y, 0);
+  trt.start();
+  // Both directions at once, in chunks, so the two loops' turns interleave.
+  for (std::uint32_t base = 0; base < kFrames; base += kChunk) {
+    for (const auto& [from, to] : {std::pair{x.id(), y.id()},
+                                   std::pair{y.id(), x.id()}}) {
+      trt.post(from, [&trt, from, to, base] {
+        for (std::uint32_t i = base; i < base + kChunk; ++i) {
+          trt.send(from, to, ping(i));
+        }
+      });
+    }
+  }
+  ASSERT_TRUE(eventually([&] {
+    return x.received().size() >= kFrames && y.received().size() >= kFrames;
+  }));
+  EXPECT_EQ(y.pings_from(x.id()), iota_labels(0, kFrames));
+  EXPECT_EQ(x.pings_from(y.id()), iota_labels(0, kFrames));
+  EXPECT_EQ(trt.frames_dropped(), 0u);
+  trt.stop();
+}
+
+TEST(ThreadRuntime, CollectMetricsCountsEachSameSiteLoopOnce) {
+  rt::ThreadRuntime trt(9);
+  ProbeActor a(trt, "a"), b(trt, "b");
+  trt.spawn(a, 0);
+  trt.spawn(b, 0);
+  trt.start();
+  obs::Context* shard_a = nullptr;
+  obs::Context* shard_b = nullptr;
+  trt.call(a.id(), [&] {
+    shard_a = &trt.obs();
+    trt.obs().metrics.counter("test.hits").inc(1);
+  });
+  trt.call(b.id(), [&] {
+    shard_b = &trt.obs();
+    trt.obs().metrics.counter("test.hits").inc(10);
+  });
+  EXPECT_NE(shard_a, shard_b);
+  obs::MetricsRegistry all;
+  trt.collect_metrics(all);
+  EXPECT_EQ(all.counter_total("test.hits"), 11u);
+  trt.stop();
+}
+
+TEST(ThreadRuntime, SelfFloodingLoopCannotStarveSiblingTimer) {
+  rt::ThreadRuntime trt(10);
+  ProbeActor a(trt, "a"), b(trt, "b");
+  trt.spawn(a, 0);
+  trt.spawn(b, 0);
+  trt.start();
+  std::atomic<bool> flooding{true};
+  std::atomic<std::uint64_t> floods{0};
+  std::function<void()> flood = [&] {
+    ++floods;
+    if (flooding.load()) trt.post(a.id(), flood);
+  };
+  trt.post(a.id(), flood);
+  ASSERT_TRUE(eventually([&] { return floods.load() > 1000; }));
+  trt.post(b.id(), [&] {
+    b.set_timer(5 * kMillisecond, [&] { b.fire(1); });
+  });
+  EXPECT_TRUE(eventually([&] { return !b.fired().empty(); },
+                         std::chrono::milliseconds(5000)));
+  const std::uint64_t during = floods.load();
+  EXPECT_TRUE(eventually([&] { return floods.load() > during; }))
+      << "the flood stopped: the test proved nothing";
+  flooding.store(false);
+  trt.stop();
+}
+
+TEST(ThreadRuntime, CallIntoOwnReactorThrowsInsteadOfDeadlocking) {
+  rt::ThreadRuntime trt(11);
+  ProbeActor a(trt, "a"), b(trt, "b"), c(trt, "c");
+  trt.spawn(a, 0);
+  trt.spawn(b, 0);
+  trt.spawn(c, 1);
+  trt.start();
+  int sibling_throws = 0, self_throws = 0;
+  bool other_site_ran = false;
+  trt.call(a.id(), [&] {
+    try {
+      trt.call(b.id(), [] {});
+    } catch (const std::logic_error&) {
+      ++sibling_throws;
+    }
+    try {
+      trt.call(a.id(), [] {});
+    } catch (const std::logic_error&) {
+      ++self_throws;
+    }
+    // Another site's thread can serve it while this one waits.
+    trt.call(c.id(), [&] { other_site_ran = true; });
+  });
+  EXPECT_EQ(sibling_throws, 1);
+  EXPECT_EQ(self_throws, 1);
+  EXPECT_TRUE(other_site_ran);
+  trt.stop();
+}
+
+TEST(ThreadRuntime, StopReleasesCallWaitersOnEveryLoopOfAReactor) {
+  rt::ThreadRuntime trt(12);
+  ProbeActor a(trt, "a"), b(trt, "b");
+  trt.spawn(a, 0);
+  trt.spawn(b, 0);
+  trt.start();
+  // Hold the site thread inside a's turn while both waiters queue up.
+  trt.post(a.id(), [] {
+    std::this_thread::sleep_for(std::chrono::milliseconds(300));
+  });
+  std::this_thread::sleep_for(std::chrono::milliseconds(20));
+  std::atomic<int> released{0};
+  std::vector<std::thread> waiters;
+  for (const NodeId node : {a.id(), b.id()}) {
+    waiters.emplace_back([&trt, &released, node] {
+      trt.call(node, [] {});
+      ++released;
+    });
+  }
+  std::this_thread::sleep_for(std::chrono::milliseconds(50));
+  trt.stop();
+  for (std::thread& t : waiters) t.join();
+  EXPECT_EQ(released.load(), 2);
+}
+
+TEST(ThreadRuntime, LoopBusyTimeIsChargedToTheLoopThatRan) {
+  rt::ThreadRuntime trt(13);
+  ProbeActor a(trt, "a"), b(trt, "b");
+  trt.spawn(a, 0);
+  trt.spawn(b, 0);
+  trt.start();
+  auto busy_us = [&](NodeId node) {
+    std::uint64_t v = 0;
+    trt.call(node, [&] {
+      v = trt.obs().metrics.counter("rt.loop_busy_us", 0).value();
+    });
+    return v;
+  };
+  const std::uint64_t a0 = busy_us(a.id());
+  const std::uint64_t b0 = busy_us(b.id());
+  trt.call(a.id(), [] {
+    std::this_thread::sleep_for(std::chrono::milliseconds(2));
+  });
+  const std::uint64_t a1 = busy_us(a.id());
+  const std::uint64_t b1 = busy_us(b.id());
+  trt.stop();
+  EXPECT_GE(a1 - a0, 2000u);
+  EXPECT_LT(b1 - b0, 1000u);
 }
 
 TEST(ThreadRuntime, SubMillisecondTimersFireInDeadlineOrderNeverEarly) {
@@ -744,7 +906,7 @@ TEST(ThreadRuntime, HostedClusterElectsRegistersAndServes) {
   }
   EXPECT_TRUE(converged);
 
-  // Metrics are per-loop-thread on this runtime; the fold must see the zab
+  // Metrics are per-loop shards on this runtime; the fold must see the zab
   // traffic those creates generated somewhere in the deployment.
   obs::MetricsRegistry all;
   trt.collect_metrics(all);

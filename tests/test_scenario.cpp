@@ -260,11 +260,13 @@ INSTANTIATE_TEST_SUITE_P(WideSeeds, Asym3ScenarioSweepSlow,
 // across) a hub promotion under extra stress, swept over seeds and batching
 // modes. The CI seed-hunt job extends the same family, asym3 included, to
 // seeds 1-40 nightly.
-using HandoverParam = std::tuple<const char*, std::uint64_t, bool>;
+// The scenario is a std::string, not a const char*: gtest prints a
+// pointer parameter's address into the full test name.
+using HandoverParam = std::tuple<std::string, std::uint64_t, bool>;
 
 std::string handover_param_name(
     const ::testing::TestParamInfo<HandoverParam>& info) {
-  return std::string(std::get<0>(info.param)) + "_seed" +
+  return std::get<0>(info.param) + "_seed" +
          std::to_string(std::get<1>(info.param)) +
          (std::get<2>(info.param) ? "_batched" : "_unbatched");
 }
@@ -281,19 +283,22 @@ class HandoverScenarioSweepSlow : public HandoverScenarioSweep {
 };
 
 TEST_P(HandoverScenarioSweep, PromotedHubNeverForksHistory) {
-  const auto [scenario, seed, batching] = GetParam();
-  expect_clean(wk::run_scenario_sweep(seed, batching, scenario), scenario);
+  const auto& [scenario, seed, batching] = GetParam();
+  expect_clean(wk::run_scenario_sweep(seed, batching, scenario),
+               scenario.c_str());
 }
 
 TEST_P(HandoverScenarioSweepSlow, PromotedHubNeverForksHistory) {
-  const auto [scenario, seed, batching] = GetParam();
-  expect_clean(wk::run_scenario_sweep(seed, batching, scenario), scenario);
+  const auto& [scenario, seed, batching] = GetParam();
+  expect_clean(wk::run_scenario_sweep(seed, batching, scenario),
+               scenario.c_str());
 }
 
 INSTANTIATE_TEST_SUITE_P(
     Seeds, HandoverScenarioSweep,
-    ::testing::Combine(::testing::Values("asym3_fanout", "asym3_double",
-                                         "asym3_flap"),
+    ::testing::Combine(::testing::Values(std::string("asym3_fanout"),
+                                         std::string("asym3_double"),
+                                         std::string("asym3_flap")),
                        ::testing::Values(1, 2, 3), ::testing::Bool()),
     handover_param_name);
 
@@ -301,8 +306,9 @@ INSTANTIATE_TEST_SUITE_P(
 // disjoint window so the matrices compound instead of overlap.
 INSTANTIATE_TEST_SUITE_P(
     WideSeeds, HandoverScenarioSweepSlow,
-    ::testing::Combine(::testing::Values("asym3_fanout", "asym3_double",
-                                         "asym3_flap"),
+    ::testing::Combine(::testing::Values(std::string("asym3_fanout"),
+                                         std::string("asym3_double"),
+                                         std::string("asym3_flap")),
                        ::testing::Range<std::uint64_t>(41, 61),
                        ::testing::Bool()),
     handover_param_name);
