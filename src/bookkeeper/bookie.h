@@ -17,33 +17,35 @@ namespace wankeeper::bk {
 using LedgerId = std::int64_t;
 using EntryId = std::int64_t;
 
-struct AddEntryMsg : sim::Message {
+struct AddEntryMsg : sim::Wire<AddEntryMsg> {
   LedgerId ledger = 0;
   EntryId entry = 0;
   std::vector<std::uint8_t> payload;
-  std::size_t wire_size() const override { return 32 + payload.size(); }
   const char* name() const override { return "bk.addEntry"; }
+  template <class V> void fields(V& v) { v(ledger, entry, payload); }
 };
 
-struct AddEntryAckMsg : sim::Message {
+struct AddEntryAckMsg : sim::Wire<AddEntryAckMsg> {
   LedgerId ledger = 0;
   EntryId entry = 0;
   const char* name() const override { return "bk.addEntryAck"; }
+  template <class V> void fields(V& v) { v(ledger, entry); }
 };
 
-struct ReadEntryMsg : sim::Message {
+struct ReadEntryMsg : sim::Wire<ReadEntryMsg> {
   LedgerId ledger = 0;
   EntryId entry = 0;
   const char* name() const override { return "bk.readEntry"; }
+  template <class V> void fields(V& v) { v(ledger, entry); }
 };
 
-struct ReadEntryReplyMsg : sim::Message {
+struct ReadEntryReplyMsg : sim::Wire<ReadEntryReplyMsg> {
   LedgerId ledger = 0;
   EntryId entry = 0;
   bool found = false;
   std::vector<std::uint8_t> payload;
-  std::size_t wire_size() const override { return 32 + payload.size(); }
   const char* name() const override { return "bk.readEntryReply"; }
+  template <class V> void fields(V& v) { v(ledger, entry, found, payload); }
 };
 
 class Bookie : public sim::Actor {

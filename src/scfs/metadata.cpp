@@ -19,12 +19,7 @@ std::string MetadataClient::znode_of(const std::string& root,
 }
 
 std::vector<std::uint8_t> MetadataClient::encode(const FileMeta& meta) const {
-  BufferWriter w;
-  w.str(meta.path);
-  w.u64(meta.size);
-  w.u64(meta.mtime);
-  w.str(meta.backend_ref);
-  return w.take();
+  return encode_value(meta);
 }
 
 FileMeta MetadataClient::decode(const std::string& path,
@@ -32,12 +27,7 @@ FileMeta MetadataClient::decode(const std::string& path,
   FileMeta meta;
   meta.path = path;
   if (bytes.empty()) return meta;
-  BufferReader r(bytes);
-  meta.path = r.str();
-  meta.size = r.u64();
-  meta.mtime = r.u64();
-  meta.backend_ref = r.str();
-  return meta;
+  return decode_value<FileMeta>(BufferReader(bytes));
 }
 
 void MetadataClient::init(std::function<void(store::Rc)> cb) {

@@ -20,6 +20,9 @@ struct FileMeta {
   std::uint64_t mtime = 0;    // application timestamp
   std::string backend_ref;    // opaque pointer into the cloud data store
   std::int32_t version = 0;   // metadata version (from the znode)
+
+  // The znode's bytes; version is the znode's own, not stored.
+  template <class V> void fields(V& v) { v(path, size, mtime, backend_ref); }
 };
 
 class MetadataClient {

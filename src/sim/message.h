@@ -1,8 +1,10 @@
 // Base type for everything sent over the simulated network. Each protocol
-// layer defines its own message structs derived from Message; receivers
-// dispatch with msg_cast — an O(1) type-tag compare stamped by the factory
-// functions below (dynamic_cast dominated the event-loop profile; the tag
-// keeps the same deserialize-then-dispatch shape without the RTTI walk).
+// message derives from Wire<Self> and declares its fields once (see
+// common/buffer.h); that one declaration drives the rt codec's encode and
+// decode and the byte count the DES charges. Receivers dispatch with
+// msg_cast — an O(1) compare of the type tag Wire stamps at construction
+// (dynamic_cast dominated the event-loop profile; the tag keeps the same
+// deserialize-then-dispatch shape without the RTTI walk).
 //
 // Allocation: messages are by far the hottest heap traffic in a sweep (one
 // per send, tens of thousands per simulated minute), so make_message /
@@ -18,7 +20,10 @@
 #include <cstdint>
 #include <memory>
 #include <new>
+#include <type_traits>
 #include <vector>
+
+#include "common/buffer.h"
 
 // Under ASan, poison pooled frames while they sit on a free list so a
 // use-after-free into recycled memory is caught instead of silently reading
@@ -38,11 +43,11 @@ struct Message {
   virtual ~Message() = default;
   // Human-readable tag for traces.
   virtual const char* name() const = 0;
-  // Approximate wire size in bytes; used only for network statistics.
-  virtual std::size_t wire_size() const { return 64; }
-  // Concrete-type tag for O(1) dispatch, stamped by make_message /
-  // make_mutable_message. 0 means the message was constructed outside the
-  // factories (some tests do); msg_cast falls back to dynamic_cast there.
+  // Encoded size in bytes, wire tag included; the DES charges it to the
+  // network. Wire<Self> computes it; test-only messages state one.
+  virtual std::size_t wire_size() const = 0;
+  // Concrete-type tag for O(1) dispatch, stamped by Wire's constructor.
+  // 0 only on test-only messages, which msg_cast never matches.
   std::uint32_t type_id = 0;
 };
 
@@ -68,15 +73,37 @@ std::uint32_t msg_type_id() {
   return kMsgTypeId<T>;
 }
 
+// Bytes of the wire tag rt::encode_message writes ahead of the fields.
+constexpr std::size_t kWireTagBytes = 2;
+
+// CRTP base of every protocol message: `struct AckMsg : Wire<AckMsg>`.
+template <class Self>
+struct Wire : Message {
+  Wire() { type_id = msg_type_id<Self>(); }
+  // Exactly the length rt::encode_message produces, counted without
+  // encoding or allocating.
+  std::size_t wire_size() const final {
+    ByteCounter c;
+    c(static_cast<const Self&>(*this));
+    return kWireTagBytes + c.size();
+  }
+  // Two messages of one type differ only in their fields, so each message
+  // can default its operator==.
+  bool operator==(const Wire&) const { return true; }
+};
+
+// The one polymorphic field type (WanEnvelopeMsg::inners) sizes through the
+// inner message's own wire_size(); rt/codec.h declares its encode/decode.
+inline void wire_value(ByteCounter& c, MessagePtr& m) { c.add(m->wire_size()); }
+
 // dynamic_cast replacement for the flat Message hierarchy (every concrete
-// type derives directly from Message, so an exact tag compare is enough).
+// type derives directly from Wire<T>, so an exact tag compare is enough).
 template <typename T>
 const T* msg_cast(const Message* m) {
-  if (m == nullptr) return nullptr;
-  if (m->type_id != 0) {
-    return m->type_id == msg_type_id<T>() ? static_cast<const T*>(m) : nullptr;
-  }
-  return dynamic_cast<const T*>(m);
+  static_assert(std::is_base_of_v<Wire<T>, T>, "msg_cast needs a Wire type");
+  return m != nullptr && m->type_id == msg_type_id<T>()
+             ? static_cast<const T*>(m)
+             : nullptr;
 }
 
 namespace detail {
@@ -174,10 +201,8 @@ inline void reset_message_arena_stats() {
 // Construct-complete messages (all fields passed to the constructor).
 template <typename T, typename... Args>
 MessagePtr make_message(Args&&... args) {
-  auto p = std::allocate_shared<T>(detail::FrameAllocator<T>{},
-                                   std::forward<Args>(args)...);
-  p->type_id = msg_type_id<T>();
-  return p;
+  return std::allocate_shared<T>(detail::FrameAllocator<T>{},
+                                 std::forward<Args>(args)...);
 }
 
 // Build-then-fill messages: `auto m = make_mutable_message<FooMsg>();
@@ -185,10 +210,8 @@ MessagePtr make_message(Args&&... args) {
 // shared_ptr converts to MessagePtr at the send boundary.
 template <typename T, typename... Args>
 std::shared_ptr<T> make_mutable_message(Args&&... args) {
-  auto p = std::allocate_shared<T>(detail::FrameAllocator<T>{},
-                                   std::forward<Args>(args)...);
-  p->type_id = msg_type_id<T>();
-  return p;
+  return std::allocate_shared<T>(detail::FrameAllocator<T>{},
+                                 std::forward<Args>(args)...);
 }
 
 }  // namespace wankeeper::sim

@@ -228,14 +228,7 @@ void Network::send(NodeId from, NodeId to, MessagePtr msg) {
     row.resize(nodes_.size());
   }
   Time& clock = row[static_cast<std::size_t>(to)];
-  Time occupancy = 0;
-  if (sfrom != sto) {
-    occupancy = wan_cost_.per_message;
-    if (wan_cost_.bytes_per_us > 0.0) {
-      occupancy += static_cast<Time>(static_cast<double>(wire) /
-                                     wan_cost_.bytes_per_us);
-    }
-  }
+  const Time occupancy = sfrom != sto ? wan_cost_.per_message : 0;
   deliver_at = std::max(deliver_at, clock + occupancy);
   clock = deliver_at;
 

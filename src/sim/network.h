@@ -64,14 +64,11 @@ struct NetworkStats {
 };
 
 // Optional channel-occupancy model for inter-site links. Each WAN message
-// holds its ordered (src, dst) channel for per_message plus its serialized
-// bytes over the link bandwidth, so bursts of small frames queue behind one
-// another — the per-message overhead the coalescing layer amortizes.
-// Defaults model an infinitely fast pipe (latency only), the pre-existing
-// behavior.
+// holds its ordered (src, dst) channel for per_message, so bursts of small
+// frames queue behind one another — the per-message overhead the coalescing
+// layer amortizes. The default models an infinitely fast pipe (latency only).
 struct WanCostModel {
-  Time per_message = 0;      // fixed per-message channel hold
-  double bytes_per_us = 0.0; // link bandwidth; <= 0 means unmodeled
+  Time per_message = 0;  // fixed per-message channel hold
 };
 
 // Mutable per-direction state of one inter-site link. A "cut" link drops

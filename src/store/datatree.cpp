@@ -223,17 +223,7 @@ std::vector<std::string> DataTree::all_paths() const {
 DataTree::Snapshot DataTree::snapshot() const {
   BufferWriter w;
   w.u32(static_cast<std::uint32_t>(nodes_.size()));
-  for (const auto& [path, node] : nodes_) {
-    w.str(path);
-    w.blob(node.data);
-    w.u64(node.stat.czxid);
-    w.u64(node.stat.mzxid);
-    w.i64(node.stat.ctime);
-    w.i64(node.stat.mtime);
-    w.i32(node.stat.version);
-    w.i32(node.stat.cversion);
-    w.i64(node.stat.ephemeral_owner);
-  }
+  for (const auto& [path, node] : nodes_) w(path, node.data, node.stat);
   return Snapshot{w.take(), last_applied_};
 }
 
@@ -243,16 +233,9 @@ void DataTree::restore(const Snapshot& snap) {
   BufferReader r(snap.bytes);
   const auto count = r.u32();
   for (std::uint32_t i = 0; i < count; ++i) {
-    const std::string path = r.str();
+    std::string path;
     Node node;
-    node.data = r.blob();
-    node.stat.czxid = r.u64();
-    node.stat.mzxid = r.u64();
-    node.stat.ctime = r.i64();
-    node.stat.mtime = r.i64();
-    node.stat.version = r.i32();
-    node.stat.cversion = r.i32();
-    node.stat.ephemeral_owner = r.i64();
+    r(path, node.data, node.stat);
     if (node.stat.ephemeral_owner != kNoSession) {
       ephemerals_[node.stat.ephemeral_owner].insert(path);
     }

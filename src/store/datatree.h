@@ -44,6 +44,12 @@ struct Stat {
   std::int32_t cversion = 0;     // child-list version (sequential counter)
   SessionId ephemeral_owner = kNoSession;
   std::int32_t num_children = 0;
+
+  template <class V> void fields(V& v) {
+    v(czxid, mzxid, ctime, mtime, version, cversion, ephemeral_owner,
+      num_children);
+  }
+  bool operator==(const Stat&) const = default;
 };
 
 class DataTree {

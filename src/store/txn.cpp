@@ -18,70 +18,4 @@ const char* txn_type_name(TxnType t) {
   return "?";
 }
 
-void Txn::serialize(BufferWriter& w) const {
-  w.u8(static_cast<std::uint8_t>(type));
-  w.u64(zxid);
-  w.str(path);
-  w.blob(data);
-  w.boolean(ephemeral);
-  w.i32(version);
-  w.i64(session);
-  w.i64(session_timeout);
-  w.i32(parent_cversion);
-  w.u32(static_cast<std::uint32_t>(ops.size()));
-  for (const auto& sub : ops) sub.serialize(w);
-  w.u32(static_cast<std::uint32_t>(paths.size()));
-  for (const auto& p : paths) w.str(p);
-  w.i32(origin_site);
-  w.u64(origin_zxid);
-  w.u64(gseq);
-  w.i32(error);
-}
-
-Txn Txn::deserialize(BufferReader& r) {
-  Txn t;
-  t.type = static_cast<TxnType>(r.u8());
-  t.zxid = r.u64();
-  t.path = r.str();
-  t.data = r.blob();
-  t.ephemeral = r.boolean();
-  t.version = r.i32();
-  t.session = r.i64();
-  t.session_timeout = r.i64();
-  t.parent_cversion = r.i32();
-  const auto nops = r.u32();
-  t.ops.reserve(nops);
-  for (std::uint32_t i = 0; i < nops; ++i) t.ops.push_back(deserialize(r));
-  const auto npaths = r.u32();
-  t.paths.reserve(npaths);
-  for (std::uint32_t i = 0; i < npaths; ++i) t.paths.push_back(r.str());
-  t.origin_site = r.i32();
-  t.origin_zxid = r.u64();
-  t.gseq = r.u64();
-  t.error = r.i32();
-  return t;
-}
-
-std::vector<std::uint8_t> Txn::encode() const {
-  BufferWriter w;
-  serialize(w);
-  return w.take();
-}
-
-Txn Txn::decode(const std::vector<std::uint8_t>& bytes) {
-  BufferReader r(bytes);
-  return deserialize(r);
-}
-
-bool Txn::operator==(const Txn& other) const {
-  return type == other.type && zxid == other.zxid && path == other.path &&
-         data == other.data && ephemeral == other.ephemeral &&
-         version == other.version && session == other.session &&
-         session_timeout == other.session_timeout &&
-         parent_cversion == other.parent_cversion && ops == other.ops &&
-         paths == other.paths && origin_site == other.origin_site &&
-         origin_zxid == other.origin_zxid && gseq == other.gseq &&
-         error == other.error;
-}
-
 }  // namespace wankeeper::store

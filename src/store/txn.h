@@ -64,13 +64,17 @@ struct Txn {
 
   std::int32_t error = 0;           // kError: rc that was recorded
 
-  void serialize(BufferWriter& w) const;
-  static Txn deserialize(BufferReader& r);
+  // The replicated log record's layout: append new fields at the end.
+  template <class V> void fields(V& v) {
+    v(type, zxid, path, data, ephemeral, version, session, session_timeout,
+      parent_cversion, ops, paths, origin_site, origin_zxid, gseq, error);
+  }
+  bool operator==(const Txn&) const = default;
 
-  std::vector<std::uint8_t> encode() const;
-  static Txn decode(const std::vector<std::uint8_t>& bytes);
-
-  bool operator==(const Txn& other) const;
+  std::vector<std::uint8_t> encode() const { return encode_value(*this); }
+  static Txn decode(const std::vector<std::uint8_t>& bytes) {
+    return decode_value<Txn>(BufferReader(bytes));
+  }
 };
 
 }  // namespace wankeeper::store

@@ -312,7 +312,14 @@ void Broker::route_write(const zk::ClientRequest& req, NodeId origin_server) {
           [this, req, origin_server]() { route_write(req, origin_server); });
       return;
     }
-    l2_serve(req, site(), origin_server);
+    // A hub-site write whose tokens are home serializes here at once: the
+    // hub's local commit. It counts in the metric only; bstats_ and the
+    // auditor keep counting commits under tokens held away from the hub.
+    // A write re-served after a recall (l2_serve_unparked) is not local.
+    if (l2_serve(req, site(), origin_server) &&
+        !tokens_for_request(req).empty()) {
+      rt().obs().metrics.counter("token.local_commits", site()).inc();
+    }
     return;
   }
   const auto keys = tokens_for_request(req);

@@ -200,7 +200,8 @@ class Broker : public zk::Server {
   void handle_wan_forward(SiteId from_site, const WanForwardMsg& m);
   void handle_replicate_up(SiteId from_site, const ReplicateUpMsg& m);
   void handle_register(SiteId from_site, const RegisterMsg& m);
-  void l2_serve(const zk::ClientRequest& req, SiteId from_site,
+  // True when the write was proposed at once: no token away, no prep error.
+  bool l2_serve(const zk::ClientRequest& req, SiteId from_site,
                 NodeId origin_server);
   void l2_propose_remote(const zk::Envelope& env);
   void l2_propose_grant(const std::vector<TokenKey>& keys, SiteId grantee);

@@ -176,7 +176,7 @@ void Broker::l2_propose_remote(const zk::Envelope& env) {
   propose_envelope(std::move(copy), {});
 }
 
-void Broker::l2_serve(const zk::ClientRequest& req, SiteId from_site,
+bool Broker::l2_serve(const zk::ClientRequest& req, SiteId from_site,
                       NodeId origin_server) {
   // Re-served after a park: close the wait span (no-op on first arrival).
   rt().obs().tracer.close(req.trace, obs::SpanKind::kTokenWait, site(), now());
@@ -201,7 +201,7 @@ void Broker::l2_serve(const zk::ClientRequest& req, SiteId from_site,
         err->rc = probe.rc;
         transport_.send(from_site, std::move(err));
       }
-      return;
+      return false;
     }
   }
 
@@ -236,7 +236,7 @@ void Broker::l2_serve(const zk::ClientRequest& req, SiteId from_site,
     }
     broker_tokens_.park(std::move(pending));
     for (auto& [owner, owner_keys] : recalls) l2_send_recall(owner_keys, owner);
-    return;
+    return false;
   }
 
   // Tokens are home: serialize here. Record the access pattern and let the
@@ -260,7 +260,7 @@ void Broker::l2_serve(const zk::ClientRequest& req, SiteId from_site,
       err->rc = prep.rc;
       transport_.send(from_site, std::move(err));
     }
-    return;
+    return false;
   }
   ++bstats_.l2_served;
   rt().obs().metrics.counter("broker.l2_served", site()).inc();
@@ -273,6 +273,7 @@ void Broker::l2_serve(const zk::ClientRequest& req, SiteId from_site,
   propose_envelope(std::move(env), std::move(prep.overlay));
 
   if (!grant_keys.empty()) l2_propose_grant(grant_keys, from_site);
+  return true;
 }
 
 void Broker::l2_propose_grant(const std::vector<TokenKey>& keys, SiteId grantee) {

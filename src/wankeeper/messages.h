@@ -43,9 +43,8 @@ struct GseqFrontier {
   std::uint32_t epoch = 0;
   std::uint64_t counter = 0;
 
-  friend bool operator==(const GseqFrontier& a, const GseqFrontier& b) {
-    return a.epoch == b.epoch && a.counter == b.counter;
-  }
+  template <class V> void fields(V& v) { v(epoch, counter); }
+  bool operator==(const GseqFrontier&) const = default;
 };
 
 // The coverage target of hub handover catch-up (DESIGN.md §5d): per epoch,
@@ -88,29 +87,32 @@ inline std::vector<GseqFrontier> frontier_deficit(
 
 // One frame carries one or more protocol messages with consecutive
 // sequence numbers (coalescing); inners[i] has sequence seq + i.
-struct WanEnvelopeMsg : sim::Message {
+struct WanEnvelopeMsg : sim::Wire<WanEnvelopeMsg> {
   SiteId from_site = kNoSite;
   NodeId from_node = kNoNode;      // sending leader, for receiver leader hints
   std::uint32_t stream_epoch = 0;  // sender's zab epoch: new leader, new stream
   std::uint32_t stream_gen = 0;    // bumped when the sender restarts the stream
   std::uint64_t seq = 0;           // FIFO sequence of inners.front()
-  std::vector<sim::MessagePtr> inners;
+  std::vector<sim::MessagePtr> inners;  // == compares these by pointer
   std::uint64_t last_seq() const { return seq + inners.size() - 1; }
-  std::size_t wire_size() const override {
-    std::size_t n = 32;
-    for (const auto& inner : inners) n += 8 + inner->wire_size();
-    return n;
-  }
   const char* name() const override { return "wk.envelope"; }
+  template <class V> void fields(V& v) {
+    v(from_site, from_node, stream_epoch, stream_gen, seq, inners);
+  }
+  bool operator==(const WanEnvelopeMsg&) const = default;
 };
 
-struct WanAckMsg : sim::Message {
+struct WanAckMsg : sim::Wire<WanAckMsg> {
   SiteId from_site = kNoSite;
   NodeId from_node = kNoNode;
   std::uint32_t stream_epoch = 0;  // epoch of the stream being acked
   std::uint32_t stream_gen = 0;    // generation of the stream being acked
   std::uint64_t cumulative = 0;    // everything <= cumulative received
   const char* name() const override { return "wk.ack"; }
+  template <class V> void fields(V& v) {
+    v(from_site, from_node, stream_epoch, stream_gen, cumulative);
+  }
+  bool operator==(const WanAckMsg&) const = default;
 };
 
 // --- L1 -> L2 ---
@@ -118,7 +120,7 @@ struct WanAckMsg : sim::Message {
 // Discovery phase of the paper's Fig 2: a (re)elected L1 leader registers
 // with the L2 site, reporting its replication frontiers and owned tokens so
 // both ends can resynchronize.
-struct RegisterMsg : sim::Message {
+struct RegisterMsg : sim::Wire<RegisterMsg> {
   SiteId from_site = kNoSite;
   NodeId from_node = kNoNode;  // the (re)elected leader announcing itself
   std::uint32_t zab_epoch = 0;
@@ -126,25 +128,29 @@ struct RegisterMsg : sim::Message {
   std::vector<TokenKey> owned_tokens;
   obs::TraceId trace = obs::kNoTrace;  // register hop -> resync it triggers
   const char* name() const override { return "wk.register"; }
+  template <class V> void fields(V& v) {
+    v(from_site, from_node, zab_epoch, down_frontiers, owned_tokens, trace);
+  }
+  bool operator==(const RegisterMsg&) const = default;
 };
 
 // A write the L1 site lacks tokens for, forwarded for L2 serialization
 // (step 8 of Fig 2). origin_server routes prep errors back.
-struct WanForwardMsg : sim::Message {
+struct WanForwardMsg : sim::Wire<WanForwardMsg> {
   zk::ClientRequest request;
   NodeId origin_server = kNoNode;
-  std::size_t wire_size() const override { return 48 + request.wire_size(); }
   const char* name() const override { return "wk.forward"; }
+  template <class V> void fields(V& v) { v(request, origin_server); }
+  bool operator==(const WanForwardMsg&) const = default;
 };
 
 // A transaction committed locally under site tokens, replicated up to L2
 // for global sequencing and fan-out (step 14 of Fig 2).
-struct ReplicateUpMsg : sim::Message {
+struct ReplicateUpMsg : sim::Wire<ReplicateUpMsg> {
   zk::Envelope envelope;  // txn.origin_site/origin_zxid identify it globally
-  std::size_t wire_size() const override {
-    return 64 + envelope.txn.path.size() + envelope.txn.data.size();
-  }
   const char* name() const override { return "wk.replicateUp"; }
+  template <class V> void fields(V& v) { v(envelope); }
+  bool operator==(const ReplicateUpMsg&) const = default;
 };
 
 // A returned token (the marker txn already flowed up via ReplicateUp; this
@@ -155,38 +161,36 @@ struct ReplicateUpMsg : sim::Message {
 // l2_resync_site. Carries the puller's claimed identity: receiving one IS
 // hub gossip, so a responder still following the old regime adopts the
 // claim first and then serves the pull.
-struct ResyncPullMsg : sim::Message {
+struct ResyncPullMsg : sim::Wire<ResyncPullMsg> {
   SiteId from_site = kNoSite;
   std::uint32_t l2_epoch = 0;          // the puller's claimed hub epoch
   std::vector<GseqFrontier> have;      // puller's contiguous applied frontiers
   obs::TraceId trace = obs::kNoTrace;  // pull -> chunks -> apply timeline
-  std::size_t wire_size() const override { return 32 + 12 * have.size(); }
   const char* name() const override { return "wk.resyncPull"; }
+  template <class V> void fields(V& v) { v(from_site, l2_epoch, have, trace); }
+  bool operator==(const ResyncPullMsg&) const = default;
 };
 
 // The answer: committed globally-sequenced transactions above the puller's
 // frontier, in log (== gseq) order, chunked. The final chunk (done) also
 // carries the responder's own frontiers, which doubles as its adoption of
 // the puller's regime.
-struct ResyncChunkMsg : sim::Message {
+struct ResyncChunkMsg : sim::Wire<ResyncChunkMsg> {
   SiteId from_site = kNoSite;
   bool done = false;
   std::vector<zk::Envelope> envelopes;
   std::vector<GseqFrontier> frontiers;  // set on the final (done) chunk
   obs::TraceId trace = obs::kNoTrace;   // set on the final (done) chunk
-  std::size_t wire_size() const override {
-    std::size_t n = 32 + 12 * frontiers.size();
-    for (const auto& e : envelopes) {
-      n += 64 + e.txn.path.size() + e.txn.data.size();
-    }
-    return n;
-  }
   const char* name() const override { return "wk.resyncChunk"; }
+  template <class V> void fields(V& v) {
+    v(from_site, done, envelopes, frontiers, trace);
+  }
+  bool operator==(const ResyncChunkMsg&) const = default;
 };
 
 // Site liveness + ephemeral-session piggyback (the paper's WAN Heartbeater)
 // + L2 identity gossip used for failover.
-struct WanHeartbeatMsg : sim::Message {
+struct WanHeartbeatMsg : sim::Wire<WanHeartbeatMsg> {
   SiteId from_site = kNoSite;
   NodeId from_node = kNoNode;
   std::uint32_t zab_epoch = 0;  // sender leadership; a bump resets WAN streams
@@ -199,11 +203,16 @@ struct WanHeartbeatMsg : sim::Message {
   // resync round or ends it on arrival, so no trace leaks open.
   obs::TraceId trace = obs::kNoTrace;
   const char* name() const override { return "wk.heartbeat"; }
+  template <class V> void fields(V& v) {
+    v(from_site, from_node, zab_epoch, live_sessions, down_frontiers, l2_site,
+      l2_epoch, trace);
+  }
+  bool operator==(const WanHeartbeatMsg&) const = default;
 };
 
 // --- L2 -> L1 ---
 
-struct RegisterOkMsg : sim::Message {
+struct RegisterOkMsg : sim::Wire<RegisterOkMsg> {
   SiteId from_site = kNoSite;
   NodeId from_node = kNoNode;
   std::uint32_t zab_epoch = 0;
@@ -211,6 +220,10 @@ struct RegisterOkMsg : sim::Message {
   SiteId l2_site = kNoSite;
   std::uint32_t l2_epoch = 0;
   const char* name() const override { return "wk.registerOk"; }
+  template <class V> void fields(V& v) {
+    v(from_site, from_node, zab_epoch, up_frontier, l2_site, l2_epoch);
+  }
+  bool operator==(const RegisterOkMsg&) const = default;
 };
 
 // A globally sequenced transaction fanned out to a site (step 10 of Fig 2).
@@ -218,34 +231,39 @@ struct RegisterOkMsg : sim::Message {
 // of applying them against the new regime's sequence. `resync` marks
 // re-shipments from l2_resync_site (metrics + trace bookkeeping only; the
 // dedup path is identical either way, which is what makes resync idempotent).
-struct ReplicateDownMsg : sim::Message {
+struct ReplicateDownMsg : sim::Wire<ReplicateDownMsg> {
   zk::Envelope envelope;  // txn.gseq orders it; session/xid route the reply
   std::uint32_t l2_epoch = 0;
   bool resync = false;
   obs::TraceId resync_trace = obs::kNoTrace;  // span: resync ship -> apply
-  std::size_t wire_size() const override {
-    return 64 + envelope.txn.path.size() + envelope.txn.data.size();
-  }
   const char* name() const override { return "wk.replicateDown"; }
+  template <class V> void fields(V& v) {
+    v(envelope, l2_epoch, resync, resync_trace);
+  }
+  bool operator==(const ReplicateDownMsg&) const = default;
 };
 
 // Termination of lease for tokens (paper §II-B): the owner must finish
 // in-flight local txns on them and return them.
-struct TokenRecallMsg : sim::Message {
+struct TokenRecallMsg : sim::Wire<TokenRecallMsg> {
   std::vector<TokenKey> keys;
   const char* name() const override { return "wk.recall"; }
+  template <class V> void fields(V& v) { v(keys); }
+  bool operator==(const TokenRecallMsg&) const = default;
 };
 
 // Prep failure for a forwarded request; routed back to the origin server.
-struct WanRequestErrorMsg : sim::Message {
+struct WanRequestErrorMsg : sim::Wire<WanRequestErrorMsg> {
   NodeId origin_server = kNoNode;
   SessionId session = kNoSession;
   Xid xid = 0;
   store::Rc rc = store::Rc::kOk;
   const char* name() const override { return "wk.requestError"; }
+  template <class V> void fields(V& v) { v(origin_server, session, xid, rc); }
+  bool operator==(const WanRequestErrorMsg&) const = default;
 };
 
-struct WanHeartbeatReplyMsg : sim::Message {
+struct WanHeartbeatReplyMsg : sim::Wire<WanHeartbeatReplyMsg> {
   SiteId from_site = kNoSite;
   NodeId from_node = kNoNode;
   std::uint32_t zab_epoch = 0;
@@ -253,6 +271,10 @@ struct WanHeartbeatReplyMsg : sim::Message {
   SiteId l2_site = kNoSite;
   std::uint32_t l2_epoch = 0;
   const char* name() const override { return "wk.heartbeatReply"; }
+  template <class V> void fields(V& v) {
+    v(from_site, from_node, zab_epoch, up_frontier, l2_site, l2_epoch);
+  }
+  bool operator==(const WanHeartbeatReplyMsg&) const = default;
 };
 
 }  // namespace wankeeper::wk

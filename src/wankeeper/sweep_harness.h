@@ -294,12 +294,14 @@ inline SweepResult run_crash_sweep_on(LoadedDeployment& d, std::uint64_t seed) {
 
   Rng schedule(seed * 97);
   const std::size_t sites = d.deploy.sites();
+  // Outlives the loop: its scheduled crash/restart events capture it, and
+  // they can fire after the iteration that scheduled them.
+  sim::FailureInjector inject(d.net);
   for (int i = 0; i < 4; ++i) {
     const Time when = d.sim.now() + 5 * kSecond + static_cast<Time>(
                           schedule.uniform(10 * kSecond));
     const SiteId site = static_cast<SiteId>(schedule.uniform(sites));
     const std::size_t node = schedule.uniform(3);
-    sim::FailureInjector inject(d.net);
     inject.crash_at(when, d.deploy.site_ensemble(site).server_id(node),
                     5 * kSecond);
     // The co-located zab peer shares the fate of its server.

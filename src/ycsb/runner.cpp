@@ -56,7 +56,6 @@ RunResult run_experiment(const RunConfig& config) {
   bed_opts.wk_policy = config.wk_policy;
   bed_opts.batching = config.batching;
   bed_opts.wan_frame_overhead = config.wan_frame_overhead;
-  bed_opts.wan_bytes_per_us = config.wan_bytes_per_us;
   Testbed bed(config.system, config.seed, bed_opts);
   sim::Simulator& sim = bed.sim();
   RunResult result;

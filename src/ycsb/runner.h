@@ -35,7 +35,6 @@ struct RunConfig {
   bool batching = false;      // group commit + WAN coalescing (canonical knobs)
   // WAN channel occupancy (see sim::WanCostModel); default latency-only.
   Time wan_frame_overhead = 0;
-  double wan_bytes_per_us = 0.0;
   std::uint64_t seed = 1;
   Time settle = 1 * kSecond;
   Time max_sim_time = 4 * 3600 * kSecond;  // runaway guard

@@ -17,7 +17,7 @@ Testbed::Testbed(SystemKind kind, std::uint64_t seed, TestbedOptions opts)
     : kind_(kind),
       sim_(std::make_unique<sim::Simulator>(seed)),
       net_(std::make_unique<sim::Network>(*sim_, sim::LatencyModel::paper_wan())) {
-  net_->set_wan_cost({opts.wan_frame_overhead, opts.wan_bytes_per_us});
+  net_->set_wan_cost({opts.wan_frame_overhead});
   zab::PeerOptions peer_opts;
   if (opts.batching) peer_opts = wk::batched_peer_options(peer_opts);
   switch (kind_) {

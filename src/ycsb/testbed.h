@@ -28,7 +28,6 @@ struct TestbedOptions {
   bool batching = false;
   // WAN channel occupancy (default: latency-only, the legacy model).
   Time wan_frame_overhead = 0;
-  double wan_bytes_per_us = 0.0;
 };
 
 class Testbed {

@@ -17,6 +17,7 @@ struct LogEntry {
   // per-follower fan-out) shares the payload instead of duplicating it.
   common::Bytes payload;
 
+  template <class V> void fields(V& v) { v(zxid, payload); }
   bool operator==(const LogEntry&) const = default;
 };
 

@@ -53,9 +53,14 @@ struct Op {
   bool ephemeral = false;
   bool sequential = false;
   std::int32_t version = -1;  // delete/setData precondition (-1 = any)
+
+  template <class V> void fields(V& v) {
+    v(op, path, data, ephemeral, sequential, version);
+  }
+  bool operator==(const Op&) const = default;
 };
 
-struct ClientRequest : sim::Message {
+struct ClientRequest : sim::Wire<ClientRequest> {
   SessionId session = kNoSession;
   Xid xid = 0;
   Op op;
@@ -64,13 +69,14 @@ struct ClientRequest : sim::Message {
   Time session_timeout = 0;    // kCreateSession
   obs::TraceId trace = obs::kNoTrace;  // flight-recorder id, assigned at issue
 
-  std::size_t wire_size() const override {
-    return 64 + op.path.size() + op.data.size();
-  }
   const char* name() const override { return "zk.request"; }
+  template <class V> void fields(V& v) {
+    v(session, xid, op, watch, multi_ops, session_timeout, trace);
+  }
+  bool operator==(const ClientRequest&) const = default;
 };
 
-struct ClientReply : sim::Message {
+struct ClientReply : sim::Wire<ClientReply> {
   SessionId session = kNoSession;
   Xid xid = 0;
   OpCode op = OpCode::kPing;
@@ -81,38 +87,48 @@ struct ClientReply : sim::Message {
   std::string created_path;              // create (resolved sequential name)
   Zxid zxid = kNoZxid;                   // commit zxid for writes
 
-  std::size_t wire_size() const override { return 96 + data.size(); }
   const char* name() const override { return "zk.reply"; }
+  template <class V> void fields(V& v) {
+    v(session, xid, op, rc, data, stat, children, created_path, zxid);
+  }
+  bool operator==(const ClientReply&) const = default;
 };
 
-struct WatchNotifyMsg : sim::Message {
+struct WatchNotifyMsg : sim::Wire<WatchNotifyMsg> {
   SessionId session = kNoSession;
   std::string path;
   store::WatchEvent event = store::WatchEvent::kDataChanged;
   const char* name() const override { return "zk.watch"; }
+  template <class V> void fields(V& v) { v(session, path, event); }
+  bool operator==(const WatchNotifyMsg&) const = default;
 };
 
 // Follower/observer server forwarding a write to the leader server.
-struct ForwardRequestMsg : sim::Message {
+struct ForwardRequestMsg : sim::Wire<ForwardRequestMsg> {
   NodeId origin_server = kNoNode;
   ClientRequest request;
-  std::size_t wire_size() const override { return 32 + request.wire_size(); }
   const char* name() const override { return "zk.forward"; }
+  template <class V> void fields(V& v) { v(origin_server, request); }
+  bool operator==(const ForwardRequestMsg&) const = default;
 };
 
 // Leader telling the origin server a request failed validation (the success
 // path flows back through the commit stream instead).
-struct RequestErrorMsg : sim::Message {
+struct RequestErrorMsg : sim::Wire<RequestErrorMsg> {
   SessionId session = kNoSession;
   Xid xid = 0;
   store::Rc rc = store::Rc::kOk;
   const char* name() const override { return "zk.requestError"; }
+  template <class V> void fields(V& v) { v(session, xid, rc); }
+  bool operator==(const RequestErrorMsg&) const = default;
 };
 
 // Session keepalive relayed from the session's server to the leader.
-struct SessionTouchMsg : sim::Message {
+struct SessionTouchMsg : sim::Wire<SessionTouchMsg> {
   std::vector<SessionId> sessions;
   const char* name() const override { return "zk.sessionTouch"; }
+  template <class V> void fields(V& v) { v(sessions); }
+  bool operator==(const SessionTouchMsg&) const = default;
 };
 
 }  // namespace wankeeper::zk

@@ -24,37 +24,6 @@ const char* op_name(OpCode op) {
   return "?";
 }
 
-std::vector<std::uint8_t> Envelope::encode() const {
-  BufferWriter w;
-  // Rough upper bound on the common single-op layout (fixed header plus
-  // path and data); multi/grant txns just fall back to vector growth.
-  w.reserve(96 + txn.path.size() + txn.data.size());
-  w.i64(session);
-  w.i64(xid);
-  w.u64(trace);
-  txn.serialize(w);
-  return w.take();
-}
-
-namespace {
-Envelope decode_reader(BufferReader r) {
-  Envelope e;
-  e.session = r.i64();
-  e.xid = r.i64();
-  e.trace = r.u64();
-  e.txn = store::Txn::deserialize(r);
-  return e;
-}
-}  // namespace
-
-Envelope Envelope::decode(const std::vector<std::uint8_t>& bytes) {
-  return decode_reader(BufferReader(bytes));
-}
-
-Envelope Envelope::decode(const common::Bytes& bytes) {
-  return decode_reader(BufferReader(bytes.data(), bytes.size()));
-}
-
 Server::Server(rt::Runtime& rt, std::string name, ServerOptions opts)
     : Actor(rt, std::move(name)), opts_(opts) {}
 

@@ -39,9 +39,16 @@ struct Envelope {
   obs::TraceId trace = obs::kNoTrace;  // rides the wire so traces cross sites
   store::Txn txn;
 
-  std::vector<std::uint8_t> encode() const;
-  static Envelope decode(const std::vector<std::uint8_t>& bytes);
-  static Envelope decode(const common::Bytes& bytes);
+  template <class V> void fields(V& v) { v(session, xid, trace, txn); }
+  bool operator==(const Envelope&) const = default;
+
+  std::vector<std::uint8_t> encode() const { return encode_value(*this); }
+  static Envelope decode(const std::vector<std::uint8_t>& bytes) {
+    return decode_value<Envelope>(BufferReader(bytes));
+  }
+  static Envelope decode(const common::Bytes& bytes) {
+    return decode_value<Envelope>(BufferReader(bytes.data(), bytes.size()));
+  }
 };
 
 struct ServerOptions {

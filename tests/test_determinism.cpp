@@ -70,13 +70,19 @@ struct GoldenCell {
 // change is NOT digest-invisible: either fix it or — only for a deliberate
 // semantic change — regenerate every golden with a printer that hashes
 // exactly as cell_digest() does, and say so loudly in the PR.
+//
+// One deliberate re-pin since: asym3/3/batched, when wire_size() became the
+// true encoded length. Its site-2 -> site-1 WAN stream now reaches the
+// 16 KiB max_bytes flush with 5 queued messages (16547 true bytes) that the
+// old per-type estimates put under the threshold. With the byte flush
+// disabled, the old and new trees produce identical digests on every cell.
 constexpr GoldenCell kGoldens[] = {
     {"crash", 7ULL, false, 0x5aab0bc809e317faULL},
     {"crash", 7ULL, true, 0xd7ab2964c8c5df7fULL},
     {"crash", 41ULL, false, 0x3c148028f9c05c66ULL},
     {"flap3", 11ULL, false, 0xa10d25a0d8add02cULL},
     {"flap3", 11ULL, true, 0x063b893e80af6e0bULL},
-    {"asym3", 3ULL, true, 0x0fe244cf494f0f1bULL},
+    {"asym3", 3ULL, true, 0x9bc64542768ff3e9ULL},
     {"hostile5", 5ULL, false, 0x27ce34320958823cULL},
 };
 
@@ -170,6 +176,7 @@ struct CountingActor final : sim::Actor {
 
 struct PingMsg final : sim::Message {
   const char* name() const override { return "ping"; }
+  std::size_t wire_size() const override { return 64; }
 };
 
 // Applies the same set of link mutations in a given order, then runs a

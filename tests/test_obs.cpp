@@ -414,6 +414,44 @@ TEST(ObsIntegration, RegistryCountersMatchTokenAuditor) {
   EXPECT_TRUE(f.audit.clean());
 }
 
+// A hub-site write whose token is home serializes at once: the hub's local
+// commit, counted in token.local_commits (the auditor's book stays commits
+// under tokens a site holds from the hub). A hub-site write that parks
+// behind a recall and is re-served once the token returns is not local.
+TEST(ObsIntegration, HubSiteWriteCountsAsLocalCommitUnlessParked) {
+  WanFixture f;
+  ASSERT_TRUE(f.deploy.wait_ready());
+  auto va = f.deploy.make_client("va-client", kVA, 9003);
+  auto ca = f.deploy.make_client("ca-client", kCA, 9001);
+  const auto& reg = f.sim.obs().metrics;
+  auto write = [&](zk::Client& c, const char* v) {
+    ASSERT_TRUE(f.run_op([&](zk::Client::Callback cb) {
+                   c.set_data("/h", v, -1, std::move(cb));
+                 }).ok());
+  };
+
+  ASSERT_TRUE(f.run_op([&](zk::Client::Callback cb) {
+                 va->create("/h", "0", false, false, std::move(cb));
+               }).ok());
+  write(*va, "1");
+  EXPECT_EQ(reg.counter_total("token.local_commits"), 2u);
+  EXPECT_EQ(f.audit.local_commits(), 0u);
+
+  // Two consecutive CA writes migrate the token to CA; serving them is not
+  // a hub-site commit.
+  write(*ca, "2");
+  write(*ca, "3");
+  f.sim.run_for(1 * kSecond);
+  ASSERT_TRUE(f.deploy.site_leader(kCA)->site_tokens().owns(wk::node_token("/h")));
+  EXPECT_EQ(reg.counter_total("token.local_commits"), 2u);
+
+  // The hub-site write now parks behind a recall and is re-served.
+  write(*va, "4");
+  EXPECT_EQ(reg.counter_total("broker.parked"), 1u);
+  EXPECT_EQ(reg.counter_total("token.local_commits"), 2u);
+  EXPECT_TRUE(f.audit.clean());
+}
+
 // Same config + seed twice: the flight-recorder exports must be identical,
 // byte for byte.
 TEST(ObsIntegration, ExportsAreDeterministicAcrossRuns) {

@@ -95,6 +95,7 @@ class Recorder : public sim::Actor {
 struct PingMsg : sim::Message {
   int n = 0;
   const char* name() const override { return "test.ping"; }
+  std::size_t wire_size() const override { return 64; }
 };
 
 TEST(Actor, TimerSkippedAfterCrash) {

@@ -14,6 +14,7 @@ struct Probe : sim::Message {
   int n = 0;
   explicit Probe(int v) : n(v) {}
   const char* name() const override { return "test.probe"; }
+  std::size_t wire_size() const override { return 64; }
 };
 
 struct Harness {
